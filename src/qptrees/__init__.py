@@ -15,10 +15,12 @@ from .formula import (
     FormulaSyntaxError,
     Implies,
     LanguageError,
+    NodeTable,
     OpenFormulaError,
     Or,
     UnboundVariableError,
     Var,
+    compile_formula,
     free_vars,
     is_modal,
     neg,

@@ -177,16 +177,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built on the first run, not at import
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
         return ns.func(ns)
     except (ValueError, OSError) as e:
         print(f"ERROR: {e}")
+        return 2
+    except RecursionError:
+        print("ERROR: input is nested too deeply")
         return 2
 
 

@@ -1,4 +1,4 @@
-"""AST, parser, and printer for the two object languages.
+"""AST, parser, printer, and compiled node tables for the two object languages.
 
 The intuitionistic language has variables, `bot`, `&`, `|`, `->` and the
 propositional quantifiers `forall p` / `exists p`.  The modal (S4) language
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 INT = "int"
 S4 = "s4"
@@ -126,43 +125,101 @@ def neg(f: Formula) -> Formula:
     return Implies(f, Bottom())
 
 
-@lru_cache(maxsize=None)
+# --- compiled node tables --------------------------------------------------
+
+# Op codes of a compiled node.
+VAR, BOT, AND, OR, IMPLIES, FORALL, EXISTS, BOX, DIA = range(9)
+
+_OPS = {
+    Var: VAR, Bottom: BOT, And: AND, Or: OR, Implies: IMPLIES,
+    Forall: FORALL, Exists: EXISTS, Box: BOX, Diamond: DIA,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """A formula compiled once into an interned, integer-indexed node table.
+
+    Nodes are listed in post-order, so children come before their parents
+    and the root is the last node.  Structurally equal subformulas share one
+    id.  For node `i`, `ops[i]` is its op code and `args[i]` its operands:
+    the name for VAR, `()` for BOT, `(left, right)` for AND, OR and IMPLIES,
+    `(name, body)` for FORALL and EXISTS, `(body,)` for BOX and DIA.
+    `free[i]` is the sorted tuple of its free variables.
+    """
+
+    formula: Formula
+    ops: tuple[int, ...]
+    args: tuple
+    free: tuple[tuple[str, ...], ...]
+
+    @property
+    def root(self) -> int:
+        return len(self.ops) - 1
+
+    @property
+    def modal(self) -> bool:
+        return BOX in self.ops or DIA in self.ops
+
+    @property
+    def quantified(self) -> bool:
+        return FORALL in self.ops or EXISTS in self.ops
+
+
+def compile_formula(f: Formula) -> NodeTable:
+    """Compile `f` into its node table; iterative, so any depth is fine.
+
+    Raises TypeError if the tree holds something that is not a formula node.
+    """
+    preorder, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        op = _OPS.get(type(node))
+        if op is None:
+            raise TypeError(f"not a formula node: {node!r}")
+        preorder.append((node, op))
+        if op in (AND, OR, IMPLIES):
+            stack.append(node.left)
+            stack.append(node.right)
+        elif op not in (VAR, BOT):
+            stack.append(node.body)
+    # Reversed, a right-first preorder is a left-first post-order.
+    interned: dict[tuple, int] = {}
+    ids: dict[int, int] = {}  # id() of an AST node -> its node id
+    ops, args, free = [], [], []
+    for node, op in reversed(preorder):
+        if op == VAR:
+            arg, fv = node.name, (node.name,)
+        elif op == BOT:
+            arg, fv = (), ()
+        elif op in (AND, OR, IMPLIES):
+            left, right = ids[id(node.left)], ids[id(node.right)]
+            arg = (left, right)
+            fv = tuple(sorted(set(free[left]).union(free[right])))
+        elif op in (FORALL, EXISTS):
+            body = ids[id(node.body)]
+            arg, fv = (node.var, body), tuple(v for v in free[body] if v != node.var)
+        else:
+            body = ids[id(node.body)]
+            arg, fv = (body,), free[body]
+        i = interned.setdefault((op, arg), len(ops))
+        if i == len(ops):
+            ops.append(op)
+            args.append(arg)
+            free.append(fv)
+        ids[id(node)] = i
+    return NodeTable(f, tuple(ops), tuple(args), tuple(free))
+
+
 def free_vars(f: Formula) -> frozenset[str]:
     """Free propositional variables of `f`; quantifiers bind."""
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    if isinstance(f, Bottom):
-        return frozenset()
-    if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    if isinstance(f, (Box, Diamond)):
-        return free_vars(f.body)
-    raise TypeError(f"not a formula node: {f!r}")
+    table = compile_formula(f)
+    return frozenset(table.free[table.root])
 
 
-@lru_cache(maxsize=None)
 def is_modal(f: Formula) -> bool:
     """True if `f` contains a box or diamond anywhere."""
-    if isinstance(f, (Box, Diamond)):
-        return True
-    if isinstance(f, (And, Or, Implies)):
-        return is_modal(f.left) or is_modal(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return is_modal(f.body)
-    if isinstance(f, (Var, Bottom)):
-        return False
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def language_of(f: Formula) -> str:
-    """The smallest language the formula belongs to.
-
-    Formulas without modal operators belong to both languages; they are
-    reported as intuitionistic and may be read in S4 mode as well.
-    """
-    return S4 if is_modal(f) else INT
+    return compile_formula(f).modal
 
 
 # --- parsing -------------------------------------------------------------

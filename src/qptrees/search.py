@@ -18,8 +18,7 @@ from .formula import (
     Formula,
     LanguageError,
     OpenFormulaError,
-    free_vars,
-    is_modal,
+    compile_formula,
     print_formula,
 )
 from .kripke import Model, chain
@@ -181,11 +180,12 @@ def bounded_validity(f: Formula, bounds: SearchBounds, mode: str = INT) -> Searc
     Returns the canonically least countermodel if one exists within the
     bounds, otherwise records that none was found up to them.
     """
-    if free_vars(f):
+    table = compile_formula(f)
+    if table.free[table.root]:
         raise OpenFormulaError(
             f"the search needs a closed formula, got {print_formula(f)!r}"
         )
-    if mode == INT and is_modal(f):
+    if mode == INT and table.modal:
         raise LanguageError("modal formulas need s4 mode")
     if bounds.structure_class == "finite-trees":
         generate = enumerate_trees
@@ -199,6 +199,6 @@ def bounded_validity(f: Formula, bounds: SearchBounds, mode: str = INT) -> Searc
         generate = _enumerate_chains
     for n in range(1, bounds.max_worlds + 1):
         for m in generate(n, mode):
-            if not validates(m, f):
+            if not validates(m, table):
                 return SearchOutcome(m, bounds)
     return SearchOutcome(None, bounds)

@@ -2,33 +2,40 @@
 
 Propositional quantifiers are evaluated by exhaustive enumeration: over all
 upward-closed subsets of the worlds in intuitionistic mode, over all subsets
-in S4 mode.  Evaluation computes the extension of each subformula bottom-up
-as a bit vector (one pass per subformula at a fixed assignment) and memoizes
-subformula extensions keyed by the assignment restricted to their free
-variables, so quantifier nesting does not re-evaluate closed parts.
+in S4 mode; the list of propositions is fetched once per evaluation.  A
+formula is first compiled into its interned node table
+(`formula.compile_formula`), and evaluation computes the extension of each
+node bottom-up as a bit vector.  Extensions are memoized under the node id
+plus the masks currently assigned to that node's free variables, so
+quantifier nesting does not re-evaluate closed parts, equal subformulas are
+evaluated once, and no formula is hashed while evaluating.
+
+Every public function takes either a formula or its compiled node table;
+passing the table lets a caller that evaluates one formula on many models
+compile it only once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .formula import (
+    AND,
+    BOT,
+    BOX,
+    EXISTS,
+    FORALL,
+    IMPLIES,
     INT,
+    OR,
     S4,
-    And,
-    Bottom,
-    Box,
-    Diamond,
-    Exists,
-    Forall,
+    VAR,
     Formula,
-    Implies,
     LanguageError,
-    Or,
+    NodeTable,
     UnboundVariableError,
-    Var,
-    free_vars,
-    is_modal,
+    compile_formula,
 )
 from .kripke import Model
 
@@ -41,90 +48,98 @@ class Extension:
     worlds: frozenset
 
 
-def _ext(m: Model, f: Formula, val: dict, memo: dict, s4: bool) -> int:
-    try:
-        key = (f,) + tuple((v, val[v]) for v in sorted(free_vars(f)))
-    except KeyError as missing:
-        raise UnboundVariableError(
-            f"no proposition assigned to variable {missing.args[0]!r}"
-        ) from None
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+def _compiled(f: Formula | NodeTable) -> NodeTable:
+    return f if isinstance(f, NodeTable) else compile_formula(f)
 
-    up = m._up
-    full = m._full
-    n = len(m.worlds)
 
-    if isinstance(f, Var):
-        result = val[f.name]
-    elif isinstance(f, Bottom):
-        result = 0
-    elif isinstance(f, And):
-        result = _ext(m, f.left, val, memo, s4) & _ext(m, f.right, val, memo, s4)
-    elif isinstance(f, Or):
-        result = _ext(m, f.left, val, memo, s4) | _ext(m, f.right, val, memo, s4)
-    elif isinstance(f, Implies):
-        a = _ext(m, f.left, val, memo, s4)
-        b = _ext(m, f.right, val, memo, s4)
-        if s4:
-            result = (full & ~a) | b
-        else:
-            # h is in the extension iff no successor of h satisfies the
-            # antecedent without the consequent.
-            bad = a & ~b
-            result = 0
-            for i in range(n):
-                if not up[i] & bad:
-                    result |= 1 << i
-    elif isinstance(f, (Forall, Exists)):
+def _extension_mask(m: Model, t: NodeTable, s4: bool) -> int:
+    val = dict(m._val_masks)
+    for v in t.free[t.root]:
+        if v not in val:
+            raise UnboundVariableError(f"no proposition assigned to variable {v!r}")
+    ops, args = t.ops, t.args
+    # itemgetter(*names)(val) is the memo key part of a node with free
+    # variables: one mask, or a tuple of masks for two or more.
+    getters = [itemgetter(*names) if names else None for names in t.free]
+    up, full = m._up, m._full
+    worlds = range(len(m.worlds))
+    propositions = ()
+    if t.quantified:
         propositions = m._subset_masks() if s4 else m._upset_masks()
-        p = f.var
-        sentinel = object()
-        saved = val.get(p, sentinel)
-        if isinstance(f, Forall):
-            result = full
-            for mask in propositions:
-                val[p] = mask
-                result &= _ext(m, f.body, val, memo, s4)
-                if not result:
-                    break
-        else:
+    memo = {}
+    unset = object()
+
+    def ext(i: int) -> int:
+        op = ops[i]
+        if op == VAR:
+            return val[args[i]]
+        if op == BOT:
+            return 0
+        get = getters[i]
+        key = i if get is None else (i, get(val))
+        result = memo.get(key)
+        if result is not None:
+            return result
+        a = args[i]
+        if op == AND:
+            result = ext(a[0]) & ext(a[1])
+        elif op == OR:
+            result = ext(a[0]) | ext(a[1])
+        elif op == IMPLIES:
+            left = ext(a[0])
+            right = ext(a[1])
+            if s4:
+                result = (full & ~left) | right
+            else:
+                # h is in the extension iff no successor of h satisfies the
+                # antecedent without the consequent.
+                bad = left & ~right
+                result = 0
+                for w in worlds:
+                    if not up[w] & bad:
+                        result |= 1 << w
+        elif op == FORALL or op == EXISTS:
+            p, body = a
+            saved = val.get(p, unset)
+            if op == FORALL:
+                result = full
+                for mask in propositions:
+                    val[p] = mask
+                    result &= ext(body)
+                    if not result:
+                        break
+            else:
+                result = 0
+                for mask in propositions:
+                    val[p] = mask
+                    result |= ext(body)
+                    if result == full:
+                        break
+            if saved is unset:
+                del val[p]
+            else:
+                val[p] = saved
+        elif op == BOX:
+            b = ext(a[0])
             result = 0
-            for mask in propositions:
-                val[p] = mask
-                result |= _ext(m, f.body, val, memo, s4)
-                if result == full:
-                    break
-        if saved is sentinel:
-            del val[p]
+            for w in worlds:
+                if not up[w] & ~b:
+                    result |= 1 << w
         else:
-            val[p] = saved
-    elif isinstance(f, Box):
-        if not s4:
-            raise LanguageError("box encountered in intuitionistic evaluation")
-        b = _ext(m, f.body, val, memo, s4)
-        result = 0
-        for i in range(n):
-            if not up[i] & ~b:
-                result |= 1 << i
-    elif isinstance(f, Diamond):
-        if not s4:
-            raise LanguageError("dia encountered in intuitionistic evaluation")
-        b = _ext(m, f.body, val, memo, s4)
-        result = 0
-        for i in range(n):
-            if up[i] & b:
-                result |= 1 << i
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
+            b = ext(a[0])
+            result = 0
+            for w in worlds:
+                if up[w] & b:
+                    result |= 1 << w
+        memo[key] = result
+        return result
 
-    memo[key] = result
-    return result
-
-
-def _extension_mask(m: Model, f: Formula, s4: bool) -> int:
-    return _ext(m, f, dict(m._val_masks), {}, s4)
+    try:
+        return ext(t.root)
+    finally:
+        # `ext` refers to itself through its closure; break that cycle so
+        # the memo is freed now rather than by the cyclic collector.
+        ext = None
 
 
 def _require_mode(m: Model, mode: str):
@@ -132,41 +147,50 @@ def _require_mode(m: Model, mode: str):
         raise ValueError(f"model is in {m.mode!r} mode, expected {mode!r}")
 
 
-def extension_int(m: Model, f: Formula) -> Extension:
-    """Worlds at which `f` holds intuitionistically; always upward closed."""
+def _int_table(m: Model, f: Formula | NodeTable) -> NodeTable:
     _require_mode(m, INT)
-    if is_modal(f):
+    t = _compiled(f)
+    if t.modal:
         raise LanguageError("box/dia encountered in intuitionistic evaluation")
-    mask = _extension_mask(m, f, s4=False)
-    assert m._closure(mask) == mask, "intuitionistic extension not upward closed"
-    return Extension(f, m._set_of(mask))
+    return t
 
 
-def extension_s4(m: Model, f: Formula) -> Extension:
+def _int_mask(m: Model, t: NodeTable) -> int:
+    mask = _extension_mask(m, t, s4=False)
+    if m._closure(mask) != mask:
+        raise AssertionError("intuitionistic extension not upward closed")
+    return mask
+
+
+def extension_int(m: Model, f: Formula | NodeTable) -> Extension:
+    """Worlds at which `f` holds intuitionistically; always upward closed."""
+    t = _int_table(m, f)
+    return Extension(t.formula, m._set_of(_int_mask(m, t)))
+
+
+def extension_s4(m: Model, f: Formula | NodeTable) -> Extension:
     """Worlds at which `f` holds under the S4 reading."""
     _require_mode(m, S4)
-    return Extension(f, m._set_of(_extension_mask(m, f, s4=True)))
+    t = _compiled(f)
+    return Extension(t.formula, m._set_of(_extension_mask(m, t, s4=True)))
 
 
-def forces_int(m: Model, world, f: Formula) -> bool:
+def forces_int(m: Model, world, f: Formula | NodeTable) -> bool:
     """Does `f` hold at `world` in the intuitionistic model `m`?"""
-    _require_mode(m, INT)
-    if is_modal(f):
-        raise LanguageError("box/dia encountered in intuitionistic evaluation")
+    t = _int_table(m, f)
     i = m.index_of(world)
-    mask = _extension_mask(m, f, s4=False)
-    assert m._closure(mask) == mask, "intuitionistic extension not upward closed"
-    return bool(mask >> i & 1)
+    return bool(_int_mask(m, t) >> i & 1)
 
 
-def forces_s4(m: Model, world, f: Formula) -> bool:
+def forces_s4(m: Model, world, f: Formula | NodeTable) -> bool:
     """Does `f` hold at `world` in the S4 model `m`?"""
     _require_mode(m, S4)
+    t = _compiled(f)
     i = m.index_of(world)
-    return bool(_extension_mask(m, f, s4=True) >> i & 1)
+    return bool(_extension_mask(m, t, s4=True) >> i & 1)
 
 
-def validates(m: Model, f: Formula) -> bool:
+def validates(m: Model, f: Formula | NodeTable) -> bool:
     """Truth at the root, under the model's own mode."""
     if m.mode == INT:
         return forces_int(m, m.root, f)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qptrees import cli
 from qptrees.cli import run
 from qptrees.kripke import load_model
 from qptrees.semantics import validates
@@ -215,3 +216,43 @@ def test_decide_s4_mode(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "OUTCOME: no-counterexample" in out
+
+
+def test_parser_built_once_gives_fresh_output(diamond_file, capsys, monkeypatch):
+    calls = [
+        ["--help"],
+        ["decide", "--formula", "p"],  # usage error
+        ["decide", "--formula", WEM_TO_LIN_TEXT, "--class", "finite-posets", "--max", "4"],
+        ["check", "--model", diamond_file, "--formula", WEM_TO_LIN_TEXT],
+    ]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        code = run(argv)
+        fresh.append((code, capsys.readouterr()))
+    assert [code for code, _ in fresh] == [0, 2, 1, 1]
+    parser = cli._parser
+    for argv, expected in zip(calls, fresh):
+        code = run(argv)
+        assert (code, capsys.readouterr()) == expected
+    assert cli._parser is parser
+
+
+def test_deep_nesting_is_a_clean_error(capsys):
+    deep = "~" * 3000 + "bot"
+    for argv in (
+        ["embed", "--formula", deep],
+        ["decide", "--formula", deep, "--class", "finite-trees", "--max", "2"],
+    ):
+        assert run(argv) == 2
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "ERROR: input is nested too deeply"
+
+
+def test_decide_with_600_negations(capsys):
+    # an even number of negations of bot is false on the one-world tree
+    code = run(["decide", "--formula", "~" * 600 + "bot", "--class", "finite-trees", "--max", "2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "OUTCOME: countermodel" in out
+    assert out.splitlines()[-1].startswith("COUNTERMODEL: ")

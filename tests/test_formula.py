@@ -4,7 +4,11 @@ import pytest
 
 from helpers import random_formula
 from qptrees.formula import (
+    AND,
+    FORALL,
     INT,
+    OR,
+    VAR,
     S4,
     And,
     Bottom,
@@ -17,6 +21,7 @@ from qptrees.formula import (
     LanguageError,
     Or,
     Var,
+    compile_formula,
     free_vars,
     is_modal,
     neg,
@@ -176,3 +181,49 @@ def test_bad_variable_names_rejected():
 def test_unknown_language_tag():
     with pytest.raises(ValueError):
         parse_formula("p", "classical")
+
+
+def test_compile_is_post_order_with_root_last():
+    rng = random.Random(31)
+    for _ in range(100):
+        t = compile_formula(random_formula(rng, 4, lang=S4))
+        for i, (op, a) in enumerate(zip(t.ops, t.args)):
+            children = () if op == VAR else [c for c in a if isinstance(c, int)]
+            assert all(c < i for c in children)
+        assert t.root == len(t.ops) - 1
+
+
+def test_compile_interns_equal_subformulas():
+    t = compile_formula(parse_formula("(p & q) | (p & q)"))
+    assert t.ops == (VAR, VAR, AND, OR)
+    assert t.args == ("p", "q", (0, 1), (2, 2))
+    # structurally equal, not identical: still one id
+    g = Or(And(Var("p"), Var("q")), And(Var("p"), Var("q")))
+    assert compile_formula(g).args == t.args
+
+
+def test_compile_free_variable_tuples():
+    t = compile_formula(parse_formula("forall p (r & (q | p) & exists p ~p)"))
+    assert t.free[t.root] == ("q", "r")
+    assert t.ops[t.root] == FORALL
+    for i, op in enumerate(t.ops):
+        assert t.free[i] == tuple(sorted(t.free[i]))
+    assert {t.free[i] for i, op in enumerate(t.ops) if op == OR} == {("p", "q")}
+
+
+def test_compile_rejects_non_formula_nodes():
+    with pytest.raises(TypeError):
+        compile_formula(And(Var("p"), "q"))
+    with pytest.raises(TypeError):
+        free_vars(Forall("p", 3))
+    with pytest.raises(TypeError):
+        is_modal(Or(Box(Var("p")), None))
+
+
+def test_compile_deep_nesting():
+    f = Var("p")
+    for i in range(5000):
+        f = Forall("q", f) if i % 2 else neg(f)
+    assert free_vars(f) == frozenset({"p"})
+    assert not is_modal(f)
+    assert len(compile_formula(f).ops) == 5002

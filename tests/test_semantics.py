@@ -1,8 +1,13 @@
+import gc
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import (
+    _random_valuation,
     naive_forces_int,
     naive_forces_s4,
     random_formula,
@@ -18,6 +23,7 @@ from qptrees.formula import (
     LanguageError,
     UnboundVariableError,
     Var,
+    compile_formula,
     parse_formula,
 )
 from qptrees.kripke import Model, chain, enumerate_subsets, enumerate_upsets, upward_closure
@@ -229,3 +235,111 @@ def test_s4_quantifiers_range_over_all_subsets():
     for prop in enumerate_subsets(m):
         got.add(prop)
     assert len(got) == 4
+
+
+# --- the compiled evaluator against the pointwise oracle -------------------------
+
+PINNED = [
+    "forall p (p & exists p ~p)",  # shadowed binder
+    "exists p (p -> forall p (q | ~p))",
+    "(forall p (p | ~p)) & ~~(forall p (p | ~p))",  # repeated subformula
+    "(p -> q) | (p -> q) | forall q ((p -> q) | (q -> p))",
+    "p & q -> exists r (r & (p | q)) | ~p",  # p and q from the valuation
+]
+PINNED_S4 = [
+    "box (p | forall p dia p)",
+    "dia forall q (box q -> q) & dia forall q (box q -> q)",
+    "exists q (box (q -> p) & ~box q)",
+]
+
+
+def differential_structures(mode):
+    from qptrees.search import enumerate_posets, enumerate_trees
+
+    for n in range(1, 6):
+        yield from enumerate_trees(n, mode)
+    for n in range(1, 5):
+        yield from enumerate_posets(n, mode)
+
+
+def check_against_oracle(mode, seed):
+    extension, naive = (extension_int, naive_forces_int) if mode == INT else (
+        extension_s4, naive_forces_s4)
+    rng = random.Random(seed)
+    pinned = [parse_formula(text, mode) for text in PINNED + (PINNED_S4 if mode == S4 else [])]
+    for skeleton in differential_structures(mode):
+        m = skeleton.with_valuation(_random_valuation(rng, skeleton, mode, ("p", "q")))
+        formulas = pinned + [
+            random_formula(rng, 3, lang=mode, scope=("p", "q"), quantifiers=2)
+            for _ in range(4)
+        ]
+        for f in formulas:
+            ext = extension(m, f).worlds
+            for h in m.worlds:
+                assert (h in ext) == naive(m, h, f), (m, f, h)
+
+
+def test_compiled_evaluator_agrees_with_oracle_int():
+    check_against_oracle(INT, 20260201)
+
+
+def test_compiled_evaluator_agrees_with_oracle_s4():
+    check_against_oracle(S4, 20260202)
+
+
+def test_compiled_table_is_accepted_in_place_of_formula():
+    m = tree_with_two_branches()
+    t = compile_formula(QEM)
+    assert extension_int(m, t) == extension_int(m, QEM)
+    assert extension_int(m, t).formula == QEM
+    assert validates(m, t) is False
+    assert validates(m, QEM) is False
+    assert forces_int(m, (0, 0), t) is True
+
+
+def test_error_cases_and_their_order():
+    m = tree_with_two_branches()
+    with pytest.raises(UnboundVariableError, match="'q'"):
+        extension_int(m, parse_formula("r & forall r (q | r)"))
+    with pytest.raises(UnboundVariableError):
+        forces_s4(m.with_mode(S4), (), parse_formula("exists p (p | q)"))
+    # the language check comes before the variable lookup
+    with pytest.raises(LanguageError):
+        forces_int(m, (), Box(Var("nope")))
+    with pytest.raises(LanguageError):
+        validates(m, Forall("p", Diamond(Var("p"))))
+    with pytest.raises(TypeError):
+        extension_int(m, Forall("p", "p"))
+
+
+def test_evaluation_leaves_no_cyclic_garbage():
+    from qptrees.embedding import t_embed
+
+    m = Model.tree([(), (0,), (1,), (0, 0), (0, 1)], {}, S4)
+    f = t_embed(WEM_TO_LIN)
+    gc.collect()
+    gc.disable()
+    try:
+        assert validates(m, f) is True
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_upward_closure_check_survives_optimize():
+    script = (
+        "from qptrees import semantics\n"
+        "from qptrees.formula import Bottom\n"
+        "from qptrees.kripke import chain\n"
+        "semantics._extension_mask = lambda m, t, s4: 1  # the root alone\n"
+        "try:\n"
+        "    semantics.extension_int(chain(2), Bottom())\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={"PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "intuitionistic extension not upward closed\n"
