@@ -33,7 +33,7 @@ def _worlds_text(m, worlds) -> str:
     return json.dumps(sorted(worlds), separators=(",", ":"))
 
 
-def _cmd_check(ns) -> int:
+def _cmd_check(ns) -> tuple[int, list[str]]:
     m = load_model(Path(ns.model).read_text())
     f = parse_formula(ns.formula, lang=m.mode)
     ext = extension_int(m, f) if m.mode == "int" else extension_s4(m, f)
@@ -48,43 +48,45 @@ def _cmd_check(ns) -> int:
         world = ns.world
     m.index_of(world)
     verdict = world in ext.worlds
-    print(f"FORMULA: {print_formula(f)}")
-    print(f"MODE: {m.mode}")
-    print(f"EXTENSION: {_worlds_text(m, ext.worlds)}")
-    print(f"WORLD: {_world_text(m, world)}")
-    print(f"VERDICT: {'true' if verdict else 'false'}")
-    return 0 if verdict else 1
+    return 0 if verdict else 1, [
+        f"FORMULA: {print_formula(f)}",
+        f"MODE: {m.mode}",
+        f"EXTENSION: {_worlds_text(m, ext.worlds)}",
+        f"WORLD: {_world_text(m, world)}",
+        f"VERDICT: {'true' if verdict else 'false'}",
+    ]
 
 
-def _cmd_decide(ns) -> int:
+def _cmd_decide(ns) -> tuple[int, list[str]]:
     f = parse_formula(ns.formula, lang=ns.mode)
     outcome = bounded_validity(f, SearchBounds(ns.max, ns.cls), ns.mode)
-    print(f"FORMULA: {print_formula(f)}")
-    print(f"CLASS: {ns.cls}")
-    print(f"MODE: {ns.mode}")
-    print(f"MAX-WORLDS: {ns.max}")
+    lines = [
+        f"FORMULA: {print_formula(f)}",
+        f"CLASS: {ns.cls}",
+        f"MODE: {ns.mode}",
+        f"MAX-WORLDS: {ns.max}",
+    ]
     if outcome.countermodel is None:
-        print("OUTCOME: no-counterexample")
-        return 0
-    print("OUTCOME: countermodel")
-    print(f"COUNTERMODEL: {dump_model(outcome.countermodel)}")
-    return 1
+        return 0, lines + ["OUTCOME: no-counterexample"]
+    return 1, lines + [
+        "OUTCOME: countermodel",
+        f"COUNTERMODEL: {dump_model(outcome.countermodel)}",
+    ]
 
 
-def _cmd_translate(ns) -> int:
+def _cmd_translate(ns) -> tuple[int, list[str]]:
     cls = LogicClass.parse(ns.cls)
     f = parse_formula(ns.formula, lang=cls.mode)
-    print(f"FORMULA: {print_formula(f)}")
-    print(f"CLASS: {cls}")
-    print(f"MSO: {emit(validity_sentence(f, cls))}")
-    return 0
+    return 0, [
+        f"FORMULA: {print_formula(f)}",
+        f"CLASS: {cls}",
+        f"MSO: {emit(validity_sentence(f, cls))}",
+    ]
 
 
-def _cmd_embed(ns) -> int:
+def _cmd_embed(ns) -> tuple[int, list[str]]:
     f = parse_formula(ns.formula, lang="int")
-    print(f"FORMULA: {print_formula(f)}")
-    print(f"EMBEDDED: {print_formula(t_embed(f))}")
-    return 0
+    return 0, [f"FORMULA: {print_formula(f)}", f"EMBEDDED: {print_formula(t_embed(f))}"]
 
 
 def _parse_valuation(text: str) -> dict:
@@ -97,37 +99,34 @@ def _parse_valuation(text: str) -> dict:
     return valuation
 
 
-def _cmd_godel(ns) -> int:
+def _cmd_godel(ns) -> tuple[int, list[str]]:
     f = parse_formula(ns.formula, lang="int")
     values = parse_truth_values(ns.values)
-    print(f"FORMULA: {print_formula(f)}")
-    print(f"VALUES: {','.join(str(v) for v in values)}")
+    lines = [
+        f"FORMULA: {print_formula(f)}",
+        f"VALUES: {','.join(str(v) for v in values)}",
+    ]
     if ns.valuation is not None:
         result = godel_eval(_parse_valuation(ns.valuation), f, values)
-        print(f"VALUE: {result}")
-        return 0
+        return 0, lines + [f"VALUE: {result}"]
     names = sorted(free_vars(f))
     for choice in product(values, repeat=len(names)):
         valuation = dict(zip(names, choice))
         result = godel_eval(valuation, f, values)
         if result != 1:
-            print("TAUTOLOGY: no")
+            lines.append("TAUTOLOGY: no")
             if names:
                 witness = ",".join(f"{n}={valuation[n]}" for n in names)
-                print(f"WITNESS: {witness}")
-            print(f"VALUE: {result}")
-            return 1
-    print("TAUTOLOGY: yes")
-    return 0
+                lines.append(f"WITNESS: {witness}")
+            return 1, lines + [f"VALUE: {result}"]
+    return 0, lines + ["TAUTOLOGY: yes"]
 
 
-def _cmd_examples(ns) -> int:
+def _cmd_examples(ns) -> tuple[int, list[str]]:
     results = run_separation_suite()
-    for name, ok in results:
-        print(f"{name}: {'pass' if ok else 'fail'}")
+    lines = [f"{name}: {'pass' if ok else 'fail'}" for name, ok in results]
     all_ok = all(ok for _, ok in results)
-    print(f"RESULT: {'pass' if all_ok else 'fail'}")
-    return 0 if all_ok else 1
+    return 0 if all_ok else 1, lines + [f"RESULT: {'pass' if all_ok else 'fail'}"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,14 +187,19 @@ def run(argv) -> int:
         ns = _parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
+    # A command returns all its lines before any is printed, so a failure
+    # part of the way through prints its ERROR line alone.
     try:
-        return ns.func(ns)
+        code, lines = ns.func(ns)
     except (ValueError, OSError) as e:
         print(f"ERROR: {e}")
         return 2
     except RecursionError:
         print("ERROR: input is nested too deeply")
         return 2
+    for line in lines:
+        print(line)
+    return code
 
 
 def main() -> None:

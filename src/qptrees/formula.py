@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 INT = "int"
 S4 = "s4"
@@ -130,6 +131,9 @@ def neg(f: Formula) -> Formula:
 # Op codes of a compiled node.
 VAR, BOT, AND, OR, IMPLIES, FORALL, EXISTS, BOX, DIA = range(9)
 
+# The proposition that fixes a one-polarity quantifier.
+EMPTY, FULL = "empty", "full"
+
 _OPS = {
     Var: VAR, Bottom: BOT, And: AND, Or: OR, Implies: IMPLIES,
     Forall: FORALL, Exists: EXISTS, Box: BOX, Diamond: DIA,
@@ -146,12 +150,19 @@ class NodeTable:
     the name for VAR, `()` for BOT, `(left, right)` for AND, OR and IMPLIES,
     `(name, body)` for FORALL and EXISTS, `(body,)` for BOX and DIA.
     `free[i]` is the sorted tuple of its free variables.
+
+    `fixed[i]` is EMPTY or FULL for a FORALL or EXISTS node whose variable
+    occurs in its body in one polarity only, or not at all: that one
+    proposition decides the quantifier (see `semantics`).  It is None for
+    every other node, so a quantifier with None ranges over all
+    propositions.
     """
 
     formula: Formula
     ops: tuple[int, ...]
     args: tuple
     free: tuple[tuple[str, ...], ...]
+    fixed: tuple[str | None, ...]
 
     @property
     def root(self) -> int:
@@ -161,15 +172,22 @@ class NodeTable:
     def modal(self) -> bool:
         return BOX in self.ops or DIA in self.ops
 
-    @property
+    @cached_property
     def quantified(self) -> bool:
-        return FORALL in self.ops or EXISTS in self.ops
+        """True if some quantifier ranges over all propositions."""
+        return any(
+            fix is None and op in (FORALL, EXISTS) for op, fix in zip(self.ops, self.fixed)
+        )
 
 
 def compile_formula(f: Formula) -> NodeTable:
     """Compile `f` into its node table; iterative, so any depth is fine.
 
-    Raises TypeError if the tree holds something that is not a formula node.
+    Alongside the free variables it tracks, per node, the free variables
+    with a positive and those with a negative occurrence: `->` flips the
+    polarity of its left side, every other connective keeps it, and a
+    quantifier drops its own variable.  Raises TypeError if the tree holds
+    something that is not a formula node.
     """
     preorder, stack = [], [f]
     while stack:
@@ -186,29 +204,47 @@ def compile_formula(f: Formula) -> NodeTable:
     # Reversed, a right-first preorder is a left-first post-order.
     interned: dict[tuple, int] = {}
     ids: dict[int, int] = {}  # id() of an AST node -> its node id
-    ops, args, free = [], [], []
+    ops, args, free, fixed = [], [], [], []
+    positive, negative = [], []  # per node id: free variables of each polarity
+    no_vars = frozenset()
     for node, op in reversed(preorder):
+        fix = None
         if op == VAR:
-            arg, fv = node.name, (node.name,)
+            arg, pos_vars, neg_vars = node.name, frozenset((node.name,)), no_vars
         elif op == BOT:
-            arg, fv = (), ()
+            arg, pos_vars, neg_vars = (), no_vars, no_vars
         elif op in (AND, OR, IMPLIES):
             left, right = ids[id(node.left)], ids[id(node.right)]
             arg = (left, right)
-            fv = tuple(sorted(set(free[left]).union(free[right])))
+            if op == IMPLIES:
+                pos_vars = negative[left] | positive[right]
+                neg_vars = positive[left] | negative[right]
+            else:
+                pos_vars = positive[left] | positive[right]
+                neg_vars = negative[left] | negative[right]
         elif op in (FORALL, EXISTS):
-            body = ids[id(node.body)]
-            arg, fv = (node.var, body), tuple(v for v in free[body] if v != node.var)
+            body, var = ids[id(node.body)], node.var
+            arg = (var, body)
+            pos_vars, neg_vars = positive[body] - {var}, negative[body] - {var}
+            if var not in negative[body]:
+                fix = EMPTY if op == FORALL else FULL
+            elif var not in positive[body]:
+                fix = FULL if op == FORALL else EMPTY
         else:
             body = ids[id(node.body)]
-            arg, fv = (body,), free[body]
+            arg, pos_vars, neg_vars = (body,), positive[body], negative[body]
+        # (op, arg) determines the polarity sets and `fix` as well, so nodes
+        # with equal keys may share an id.
         i = interned.setdefault((op, arg), len(ops))
         if i == len(ops):
             ops.append(op)
             args.append(arg)
-            free.append(fv)
+            free.append(tuple(sorted(pos_vars | neg_vars)))
+            fixed.append(fix)
+            positive.append(pos_vars)
+            negative.append(neg_vars)
         ids[id(node)] = i
-    return NodeTable(f, tuple(ops), tuple(args), tuple(free))
+    return NodeTable(f, tuple(ops), tuple(args), tuple(free), tuple(fixed))
 
 
 def free_vars(f: Formula) -> frozenset[str]:

@@ -229,46 +229,22 @@ class Model:
             m &= m - 1
         return acc
 
-    def _linear_extension(self) -> list[int]:
-        # Indices ordered so smaller elements come first; ties broken by index.
-        n = len(self.worlds)
-        preds = [0] * n
-        for j in range(n):
-            for i in range(n):
-                if i != j and self._up[i] >> j & 1:
-                    preds[j] |= 1 << i
-        order, placed = [], 0
-        while len(order) < n:
-            for i in range(n):
-                if not placed >> i & 1 and not preds[i] & ~placed:
-                    order.append(i)
-                    placed |= 1 << i
-                    break
-        return order
-
     def _upset_masks(self) -> tuple[int, ...]:
         """All upward-closed subsets as bitmasks, ascending.
 
-        Enumerated by descending a linear extension from the maximal elements
-        and branching on membership only when all strict successors are
-        already in, so the cost is proportional to the number of upsets
-        rather than to the full powerset.
+        Worlds are added in order of rising successor count, so every
+        strict successor of a world is added before it.  The upsets found
+        so far are those of the worlds added so far, and the world joins
+        each of them that already holds all its strict successors; so the
+        cost is proportional to the number of upsets rather than to the
+        full powerset.
         """
         if self._upsets is None:
-            order = self._linear_extension()
-            up = self._up
-            found = []
-
-            def descend(k: int, mask: int):
-                if k < 0:
-                    found.append(mask)
-                    return
-                i = order[k]
-                descend(k - 1, mask)
-                if up[i] & ~mask == 1 << i:
-                    descend(k - 1, mask | 1 << i)
-
-            descend(len(order) - 1, 0)
+            found = [0]
+            for i in sorted(range(len(self._up)), key=lambda i: self._up[i].bit_count()):
+                bit = 1 << i
+                above = self._up[i] & ~bit
+                found += [u | bit for u in found if not above & ~u]
             self._upsets = tuple(sorted(found))
         return self._upsets
 
@@ -328,7 +304,10 @@ def chain(n: int, mode: str = INT) -> Model:
     """The linear tree with exactly `n` worlds."""
     if n < 1:
         raise ValueError("a chain needs at least one world")
-    return Model.tree([(0,) * i for i in range(n)], {}, mode)
+    # World i lies below exactly the worlds i, i+1, ..., n-1.
+    full = (1 << n) - 1
+    up = [full >> i << i for i in range(n)]
+    return Model("tree", mode, [(0,) * i for i in range(n)], up, {})
 
 
 # --- the model file format -------------------------------------------------

@@ -80,7 +80,7 @@ class PrefixLe:
 
 @dataclass(frozen=True)
 class ImmediateLe:
-    """y is an immediate successor of x; eliminable, see expand_immediate."""
+    """y is an immediate successor of x: x <= y, x != y, nothing strictly between."""
 
     left: str
     right: str
@@ -172,25 +172,6 @@ def _disj(parts) -> MsoFormula:
     for p in reversed(parts[:-1]):
         result = Disj(p, result)
     return result
-
-
-def free_names(f: MsoFormula) -> frozenset[str]:
-    """Free individual and set variables (the `root` constant excluded)."""
-    if isinstance(f, Member):
-        base = {f.elem, f.setvar}
-    elif isinstance(f, (Subset, PrefixLe, ImmediateLe, LexLe, NodeEq)):
-        base = {f.left, f.right}
-    elif isinstance(f, Falsum):
-        base = set()
-    elif isinstance(f, (Conj, Disj, Impl)):
-        base = free_names(f.left) | free_names(f.right)
-    elif isinstance(f, Neg):
-        base = free_names(f.body)
-    elif isinstance(f, (All1, Ex1, All2, Ex2)):
-        base = free_names(f.body) - {f.var}
-    else:
-        raise TypeError(f"not a second-order formula node: {f!r}")
-    return frozenset(base) - {ROOT}
 
 
 # --- logic classes -----------------------------------------------------------
@@ -386,33 +367,6 @@ def build_predicate(kind: str, setvar: str, n: int | None = None) -> MsoFormula:
         count = _exactly(n, lambda t: ImmediateLe("x", t), witnesses, "z")
         return All1("x", Impl(Member("x", setvar), count))
     raise ValueError(f"unknown predicate kind {kind!r}")
-
-
-def expand_immediate(f: MsoFormula) -> MsoFormula:
-    """Rewrite every immediate-successor atom into pure prefix-order terms:
-    x <=1 y becomes x <= y, x distinct from y, and nothing strictly between.
-    Fresh variables z_0, z_1, ... are used for the betweenness check."""
-    counter = [0]
-
-    def rewrite(g: MsoFormula) -> MsoFormula:
-        if isinstance(g, ImmediateLe):
-            z = f"z_{counter[0]}"
-            counter[0] += 1
-            return _conj([
-                PrefixLe(g.left, g.right),
-                Neg(NodeEq(g.left, g.right)),
-                All1(z, Impl(Conj(PrefixLe(g.left, z), PrefixLe(z, g.right)),
-                             Disj(NodeEq(z, g.left), NodeEq(z, g.right)))),
-            ])
-        if isinstance(g, (Conj, Disj, Impl)):
-            return type(g)(rewrite(g.left), rewrite(g.right))
-        if isinstance(g, Neg):
-            return Neg(rewrite(g.body))
-        if isinstance(g, (All1, Ex1, All2, Ex2)):
-            return type(g)(g.var, rewrite(g.body))
-        return g
-
-    return rewrite(f)
 
 
 # --- validity sentences ----------------------------------------------------------

@@ -85,11 +85,19 @@ def _forests(total: int, floor):
                 yield (shape,) + rest
 
 
-def _shape_words(shape, prefix=()):
-    words = [prefix]
-    for i, child in enumerate(shape):
-        words.extend(_shape_words(child, prefix + (i,)))
-    return words
+def _add_shape(shape, word, words, up):
+    """Append the worlds of `shape`, rooted at `word`, in pre-order.
+
+    Pre-order is the sorted word order, and each subtree is the contiguous
+    run of indices that starts at its root, so its successor mask is known
+    once the subtree has been added.
+    """
+    i = len(words)
+    words.append(word)
+    up.append(0)
+    for k, child in enumerate(shape):
+        _add_shape(child, word + (k,), words, up)
+    up[i] = ((1 << len(words) - i) - 1) << i
 
 
 def enumerate_trees(n: int, mode: str = INT) -> Iterator[Model]:
@@ -98,7 +106,9 @@ def enumerate_trees(n: int, mode: str = INT) -> Iterator[Model]:
     if n < 1:
         raise SearchBoundError("need at least one world")
     for shape in _shapes(n):
-        yield Model.tree(_shape_words(shape), {}, mode)
+        words, up = [], []
+        _add_shape(shape, (), words, up)
+        yield Model("tree", mode, words, up, {})
 
 
 # --- posets with a least element -----------------------------------------------

@@ -1,14 +1,25 @@
 """Forcing and extensions for both logics.
 
-Propositional quantifiers are evaluated by exhaustive enumeration: over all
-upward-closed subsets of the worlds in intuitionistic mode, over all subsets
-in S4 mode; the list of propositions is fetched once per evaluation.  A
-formula is first compiled into its interned node table
+A formula is first compiled into its interned node table
 (`formula.compile_formula`), and evaluation computes the extension of each
 node bottom-up as a bit vector.  Extensions are memoized under the node id
 plus the masks currently assigned to that node's free variables, so
 quantifier nesting does not re-evaluate closed parts, equal subformulas are
 evaluated once, and no formula is hashed while evaluating.
+
+Propositional quantifiers range over all upward-closed subsets of the
+worlds in intuitionistic mode, over all subsets in S4 mode; the empty and
+the full set are always among them.  A quantifier whose variable occurs in
+its body in one polarity only, or not at all, is decided by one of those
+two: `forall p A` is A[p:=empty] when p occurs only positively and
+A[p:=full] when only negatively, and `exists p A` is the mirror image.
+This holds because `->` is antitone in its antecedent and monotone in its
+consequent, in both readings, and `&`, `|`, `box`, `dia` and the
+quantifiers over other variables are monotone; so for a positive-only p,
+U included in U' gives ext(A[p:=U]) included in ext(A[p:=U']), and the
+intersection over all U, the extension of `forall p A`, is
+ext(A[p:=empty]).  Only the remaining quantifiers enumerate propositions;
+their list is fetched once per evaluation, and only when one occurs.
 
 Every public function takes either a formula or its compiled node table;
 passing the table lets a caller that evaluates one formula on many models
@@ -26,6 +37,7 @@ from .formula import (
     BOX,
     EXISTS,
     FORALL,
+    FULL,
     IMPLIES,
     INT,
     OR,
@@ -57,7 +69,7 @@ def _extension_mask(m: Model, t: NodeTable, s4: bool) -> int:
     for v in t.free[t.root]:
         if v not in val:
             raise UnboundVariableError(f"no proposition assigned to variable {v!r}")
-    ops, args = t.ops, t.args
+    ops, args, fixed = t.ops, t.args, t.fixed
     # itemgetter(*names)(val) is the memo key part of a node with free
     # variables: one mask, or a tuple of masks for two or more.
     getters = [itemgetter(*names) if names else None for names in t.free]
@@ -101,7 +113,11 @@ def _extension_mask(m: Model, t: NodeTable, s4: bool) -> int:
         elif op == FORALL or op == EXISTS:
             p, body = a
             saved = val.get(p, unset)
-            if op == FORALL:
+            fix = fixed[i]
+            if fix is not None:
+                val[p] = full if fix == FULL else 0
+                result = ext(body)
+            elif op == FORALL:
                 result = full
                 for mask in propositions:
                     val[p] = mask

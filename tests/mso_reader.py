@@ -1,5 +1,7 @@
 """Companion reader for the emitted second-order text, used to check that
-emission is deterministic, reparseable, and injective on ASTs."""
+emission is deterministic, reparseable, and injective on ASTs; plus two
+walkers over second-order formulas that only the tests need: free names and
+the elimination of immediate-successor atoms."""
 
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from qptrees.mso import (
     Neg,
     NodeEq,
     PrefixLe,
+    ROOT,
     Subset,
 )
 
@@ -124,3 +127,51 @@ class MsoReader:
 
 def read_mso(text):
     return MsoReader(text).parse()
+
+
+def free_names(f):
+    """Free individual and set variables (the `root` constant excluded)."""
+    if isinstance(f, Member):
+        base = {f.elem, f.setvar}
+    elif isinstance(f, (Subset, PrefixLe, ImmediateLe, LexLe, NodeEq)):
+        base = {f.left, f.right}
+    elif isinstance(f, Falsum):
+        base = set()
+    elif isinstance(f, (Conj, Disj, Impl)):
+        base = free_names(f.left) | free_names(f.right)
+    elif isinstance(f, Neg):
+        base = free_names(f.body)
+    elif isinstance(f, (All1, Ex1, All2, Ex2)):
+        base = free_names(f.body) - {f.var}
+    else:
+        raise TypeError(f"not a second-order formula node: {f!r}")
+    return frozenset(base) - {ROOT}
+
+
+def expand_immediate(f):
+    """Rewrite every immediate-successor atom into pure prefix-order terms:
+    x <=1 y becomes x <= y, x distinct from y, and nothing strictly between.
+    Fresh variables z_0, z_1, ... are used for the betweenness check."""
+    counter = [0]
+
+    def rewrite(g):
+        if isinstance(g, ImmediateLe):
+            z = f"z_{counter[0]}"
+            counter[0] += 1
+            between = Conj(PrefixLe(g.left, z), PrefixLe(z, g.right))
+            return Conj(
+                PrefixLe(g.left, g.right),
+                Conj(
+                    Neg(NodeEq(g.left, g.right)),
+                    All1(z, Impl(between, Disj(NodeEq(z, g.left), NodeEq(z, g.right)))),
+                ),
+            )
+        if isinstance(g, (Conj, Disj, Impl)):
+            return type(g)(rewrite(g.left), rewrite(g.right))
+        if isinstance(g, Neg):
+            return Neg(rewrite(g.body))
+        if isinstance(g, (All1, Ex1, All2, Ex2)):
+            return type(g)(g.var, rewrite(g.body))
+        return g
+
+    return rewrite(f)

@@ -243,10 +243,12 @@ def test_deep_nesting_is_a_clean_error(capsys):
     for argv in (
         ["embed", "--formula", deep],
         ["decide", "--formula", deep, "--class", "finite-trees", "--max", "2"],
+        # deep enough to fail only after the formula itself has been printed
+        ["translate", "--formula", "~" * 300 + "bot", "--class", "qpHt"],
+        ["embed", "--formula", "~" * 600 + "bot"],
     ):
         assert run(argv) == 2
-        out = capsys.readouterr().out
-        assert out.splitlines()[-1] == "ERROR: input is nested too deeply"
+        assert capsys.readouterr().out == "ERROR: input is nested too deeply\n"
 
 
 def test_decide_with_600_negations(capsys):

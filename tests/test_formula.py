@@ -5,7 +5,10 @@ import pytest
 from helpers import random_formula
 from qptrees.formula import (
     AND,
+    EMPTY,
+    EXISTS,
     FORALL,
+    FULL,
     INT,
     OR,
     VAR,
@@ -227,3 +230,44 @@ def test_compile_deep_nesting():
     assert free_vars(f) == frozenset({"p"})
     assert not is_modal(f)
     assert len(compile_formula(f).ops) == 5002
+
+
+def fixed_quantifiers(text, lang=INT):
+    """The `fixed` entries of the quantifier nodes, in post-order."""
+    t = compile_formula(parse_formula(text, lang))
+    return [fix for op, fix in zip(t.ops, t.fixed) if op in (FORALL, EXISTS)]
+
+
+@pytest.mark.parametrize("text, lang, expected", [
+    ("forall p (q -> p)", INT, [EMPTY]),  # positive only
+    ("forall p (p -> q)", INT, [FULL]),  # negative only
+    ("forall p q", INT, [EMPTY]),  # vacuous
+    ("forall p ~~p", INT, [EMPTY]),  # flipped twice
+    ("exists p (q -> p)", INT, [FULL]),
+    ("exists p (p -> q)", INT, [EMPTY]),
+    ("exists p q", INT, [FULL]),
+    ("forall p (p | ~p)", INT, [None]),  # mixed
+    ("exists p (p -> p)", INT, [None]),
+    # shadowing: the inner binder hides its p from the outer one
+    ("forall p (p & exists p ~p)", INT, [EMPTY, EMPTY]),
+    ("forall p (~p & exists p p)", INT, [FULL, FULL]),
+    # polarity passes through box and dia
+    ("forall p box (dia p -> q)", S4, [FULL]),
+    ("exists p dia box p", S4, [FULL]),
+    ("forall p (box p | dia ~p)", S4, [None]),
+    # nested quantifier over another variable
+    ("forall p exists q (p -> q)", INT, [FULL, FULL]),
+    ("forall p (forall q (q -> p) -> p)", INT, [FULL, None]),
+    ("forall p forall q ((p -> q) | (q -> p))", INT, [None, None]),
+])
+def test_compile_fixes_one_polarity_quantifiers(text, lang, expected):
+    assert fixed_quantifiers(text, lang) == expected
+
+
+def test_compile_quantified_means_some_quantifier_ranges():
+    assert compile_formula(parse_formula("forall p (p | ~p)")).quantified
+    assert compile_formula(parse_formula("p | exists q (q -> q)")).quantified
+    for text in ("p -> q", "forall p (p -> q) | exists q q", "forall p (p & exists p ~p)"):
+        t = compile_formula(parse_formula(text))
+        assert not t.quantified
+        assert all(fix is None for op, fix in zip(t.ops, t.fixed) if op not in (FORALL, EXISTS))

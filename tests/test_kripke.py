@@ -181,7 +181,16 @@ def naive_powerset(m):
 
 def test_chain_upset_counts():
     for n in range(1, 13):
+        assert chain(n) == Model.tree([(0,) * i for i in range(n)])
         assert sum(1 for _ in enumerate_upsets(chain(n))) == n + 1
+
+
+def test_upsets_of_a_long_chain():
+    # more worlds than the default recursion limit
+    m = chain(1100)
+    ups = m._upset_masks()
+    assert len(ups) == 1101
+    assert ups == tuple(sorted(m._full >> i << i for i in range(1101)))
 
 
 def test_subset_enumeration_counts():

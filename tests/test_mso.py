@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from helpers import random_formula, random_tree_model
-from mso_reader import read_mso
+from mso_reader import expand_immediate, free_names, read_mso
 from qptrees.formula import (
     INT,
     S4,
@@ -34,8 +34,6 @@ from qptrees.mso import (
     build_predicate,
     emit,
     eval_finite,
-    expand_immediate,
-    free_names,
     translate_at,
     validity_sentence,
 )

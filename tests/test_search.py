@@ -69,12 +69,14 @@ def test_four_node_trees():
 
 
 def test_enumerated_trees_are_valid_and_canonical():
-    for n in range(1, 7):
-        for m in enumerate_trees(n):
-            assert len(m.worlds) == n
-            assert m.root == ()
-            # rebuilding through the validating constructor must succeed
-            assert Model.tree(m.worlds, {}, m.mode) == m
+    for n in range(1, 10):
+        for mode in ("int", "s4"):
+            for m in enumerate_trees(n, mode):
+                assert len(m.worlds) == n
+                assert m.root == ()
+                # rebuilding through the validating constructor gives the same
+                # sorted worlds and the same order masks
+                assert Model.tree(m.worlds, {}, mode) == m
 
 
 def test_tree_enumeration_deterministic():

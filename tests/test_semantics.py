@@ -245,11 +245,22 @@ PINNED = [
     "(forall p (p | ~p)) & ~~(forall p (p | ~p))",  # repeated subformula
     "(p -> q) | (p -> q) | forall q ((p -> q) | (q -> p))",
     "p & q -> exists r (r & (p | q)) | ~p",  # p and q from the valuation
+    # one-polarity quantifiers, fixed to the empty or the full proposition
+    "forall p (q -> p) | exists p (p -> q) | forall r q",
+    "forall p (p -> q) & exists p (q -> p) & exists r ~q",
+    "forall p ~~p -> exists p ~p",
+    "forall p (~p & exists p p)",
+    "forall p exists q (p -> q)",
+    "forall p (forall q (q -> p) -> p)",  # fixed inside ranging
+    "exists p (~p & forall q (q | ~q)) | forall p ((p -> q) -> ~~p)",  # ranging inside fixed
 ]
 PINNED_S4 = [
     "box (p | forall p dia p)",
     "dia forall q (box q -> q) & dia forall q (box q -> q)",
     "exists q (box (q -> p) & ~box q)",
+    "forall p box (dia p -> q) | exists p dia box p",
+    "forall p (box p | dia ~p)",
+    "exists q box (p -> dia q) & forall q (dia q -> p)",
 ]
 
 
@@ -285,6 +296,22 @@ def test_compiled_evaluator_agrees_with_oracle_int():
 
 def test_compiled_evaluator_agrees_with_oracle_s4():
     check_against_oracle(S4, 20260202)
+
+
+def test_fixed_quantifiers_enumerate_no_propositions(monkeypatch):
+    def spy(m):
+        raise RuntimeError("propositions enumerated")
+
+    monkeypatch.setattr(Model, "_upset_masks", spy)
+    monkeypatch.setattr(Model, "_subset_masks", spy)
+    m = tree_with_two_branches().with_assignment("q", [(0, 0)])
+    fixed = parse_formula("forall p (p -> q) | exists p ~~p | ~forall p p")
+    mixed = parse_formula("forall p (p | ~p)")
+    assert extension_int(m, fixed).worlds == frozenset(m.worlds)
+    assert forces_s4(m.with_mode(S4), (), fixed) is True
+    for evaluate in (lambda: extension_int(m, mixed), lambda: validates(m.with_mode(S4), mixed)):
+        with pytest.raises(RuntimeError, match="propositions enumerated"):
+            evaluate()
 
 
 def test_compiled_table_is_accepted_in_place_of_formula():
