@@ -47,7 +47,13 @@ from .semantics import (
 )
 from .embedding import box_closure_valuation, check_embedding_pair, t_embed
 from .mso import LogicClass, build_predicate, emit, eval_finite, translate_at, validity_sentence
-from .godel import chain_correspondence, evenly_spaced, godel_eval, make_truth_values
+from .godel import (
+    chain_correspondence,
+    evenly_spaced,
+    godel_eval,
+    make_truth_values,
+    refuting_valuation,
+)
 from .search import SearchBounds, SearchOutcome, bounded_validity, enumerate_posets, enumerate_trees
 
 __version__ = "0.1.0"

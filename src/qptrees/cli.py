@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product
 from pathlib import Path
 
-from .formula import free_vars, parse_formula, print_formula
-from .godel import godel_eval, parse_truth_values
+from .formula import parse_formula, print_formula
+from .godel import godel_eval, parse_truth_values, refuting_valuation
 from .kripke import dump_model, load_model
 from .embedding import t_embed
 from .mso import LogicClass, emit, validity_sentence
@@ -109,17 +108,14 @@ def _cmd_godel(ns) -> tuple[int, list[str]]:
     if ns.valuation is not None:
         result = godel_eval(_parse_valuation(ns.valuation), f, values)
         return 0, lines + [f"VALUE: {result}"]
-    names = sorted(free_vars(f))
-    for choice in product(values, repeat=len(names)):
-        valuation = dict(zip(names, choice))
-        result = godel_eval(valuation, f, values)
-        if result != 1:
-            lines.append("TAUTOLOGY: no")
-            if names:
-                witness = ",".join(f"{n}={valuation[n]}" for n in names)
-                lines.append(f"WITNESS: {witness}")
-            return 1, lines + [f"VALUE: {result}"]
-    return 0, lines + ["TAUTOLOGY: yes"]
+    refutation = refuting_valuation(f, values)
+    if refutation is None:
+        return 0, lines + ["TAUTOLOGY: yes"]
+    valuation, result = refutation
+    lines.append("TAUTOLOGY: no")
+    if valuation:
+        lines.append("WITNESS: " + ",".join(f"{n}={v}" for n, v in valuation.items()))
+    return 1, lines + [f"VALUE: {result}"]
 
 
 def _cmd_examples(ns) -> tuple[int, list[str]]:

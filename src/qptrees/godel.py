@@ -5,8 +5,15 @@ Truth values are exact rationals from a finite set V with 0 and 1 included;
 conjunction is min, disjunction max, implication is 1 when the antecedent
 does not exceed the consequent and the consequent's value otherwise, and the
 propositional quantifiers take the min/max over all of V (attained, since V
-is finite).  Everything is computed with Fraction, never floats: the case
-split in the implication clause has to be exact.
+is finite).  Values are Fractions, never floats: the case split in the
+implication clause has to be exact.
+
+Rationals at the boundary, ranks inside: evaluation runs on the index of
+each value in sorted V, so 0 has rank 0 and 1 the top rank.  Every clause
+only compares values and returns an operand, 0 or 1, and ranking is an
+order isomorphism from V onto 0..|V|-1 that sends 0 and 1 to the least and
+the top rank, so the rank of a result is the result's rank: mapping back
+at the end gives exactly the rational value.
 
 Only finite V is supported.  Infinite truth-value sets can only be
 approximated by finite truncations here, and truncation genuinely changes
@@ -16,14 +23,13 @@ the resulting logic, so no such approximation is done implicitly.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Mapping
 
 from .formula import (
     INT,
     And,
     Bottom,
-    Box,
-    Diamond,
     Exists,
     Forall,
     Formula,
@@ -33,6 +39,7 @@ from .formula import (
     Or,
     UnboundVariableError,
     Var,
+    compile_formula,
     free_vars,
     is_modal,
     print_formula,
@@ -41,7 +48,6 @@ from .kripke import chain
 from .semantics import validates
 
 ONE = Fraction(1)
-ZERO = Fraction(0)
 
 TruthValueSet = tuple  # strictly sorted tuple of Fractions with 0 and 1
 
@@ -72,41 +78,48 @@ def evenly_spaced(k: int) -> TruthValueSet:
     return make_truth_values(Fraction(i, k) for i in range(k + 1))
 
 
-def _eval(f: Formula, val: dict, values: TruthValueSet) -> Fraction:
+def _compile(f: Formula, scope: dict, s: list, top: int):
+    """A closure that evaluates `f` on value ranks read from the slot list
+    `s`; `scope` maps each variable in scope to its slot, and `top` is the
+    rank of 1.
+
+    Unbound variables raise here, while compiling, so the closures may skip
+    an operand or the rest of a quantifier's range once the result is
+    decided (0 for a conjunction or forall, 1 for a disjunction or exists)."""
     if isinstance(f, Var):
         try:
-            return val[f.name]
+            k = scope[f.name]
         except KeyError:
             raise UnboundVariableError(f"no value assigned to {f.name!r}") from None
+        return lambda: s[k]
     if isinstance(f, Bottom):
-        return ZERO
-    if isinstance(f, And):
-        return min(_eval(f.left, val, values), _eval(f.right, val, values))
-    if isinstance(f, Or):
-        return max(_eval(f.left, val, values), _eval(f.right, val, values))
-    if isinstance(f, Implies):
-        a = _eval(f.left, val, values)
-        b = _eval(f.right, val, values)
-        return ONE if a <= b else b
+        return lambda: 0
+    if isinstance(f, (And, Or, Implies)):
+        a = _compile(f.left, scope, s, top)
+        b = _compile(f.right, scope, s, top)
+        if isinstance(f, And):
+            return lambda: (x := a()) and min(x, b())
+        if isinstance(f, Or):
+            return lambda: x if (x := a()) == top else max(x, b())
+        return lambda: top if (x := a()) <= (y := b()) else y
     if isinstance(f, (Forall, Exists)):
-        pick = min if isinstance(f, Forall) else max
-        sentinel = object()
-        saved = val.get(f.var, sentinel)
-        try:
-            return pick(_eval_with(f.body, val, values, f.var, w) for w in values)
-        finally:
-            if saved is sentinel:
-                val.pop(f.var, None)
-            else:
-                val[f.var] = saved
-    if isinstance(f, (Box, Diamond)):
-        raise LanguageError("modal operators have no many-valued reading here")
+        k = len(s)
+        s.append(0)
+        body = _compile(f.body, {**scope, f.var: k}, s, top)
+        values = range(top + 1)
+        pick, start, decided = (min, top, 0) if isinstance(f, Forall) else (max, 0, top)
+
+        def quantifier():
+            result = start
+            for v in values:
+                s[k] = v
+                result = pick(result, body())
+                if result == decided:
+                    break
+            return result
+
+        return quantifier
     raise TypeError(f"not a formula node: {f!r}")
-
-
-def _eval_with(f, val, values, var, w):
-    val[var] = w
-    return _eval(f, val, values)
 
 
 def godel_eval(valuation: Mapping[str, object], f: Formula, values) -> Fraction:
@@ -118,13 +131,38 @@ def godel_eval(valuation: Mapping[str, object], f: Formula, values) -> Fraction:
     if is_modal(f):
         raise LanguageError("modal operators have no many-valued reading here")
     vs = make_truth_values(values)
-    val = {}
+    rank = {v: i for i, v in enumerate(vs)}
+    scope, s = {}, []
     for name, w in valuation.items():
         x = Fraction(w)
-        if x not in vs:
+        if x not in rank:
             raise ValueError(f"valuation of {name!r} is {x}, not a truth value")
-        val[name] = x
-    return _eval(f, val, vs)
+        scope[name] = len(s)
+        s.append(rank[x])
+    return vs[_compile(f, scope, s, len(vs) - 1)()]
+
+
+def refuting_valuation(f: Formula, values) -> tuple[dict, Fraction] | None:
+    """The first valuation of the free variables of `f` under which it takes
+    a value below 1, with that value; None if `f` is a tautology over the
+    set `values`.
+
+    Valuations are tried in product order over the sorted free variables,
+    each ranging over the values in ascending order.
+    """
+    table = compile_formula(f)
+    if table.modal:
+        raise LanguageError("modal operators have no many-valued reading here")
+    vs = make_truth_values(values)
+    names = table.free[table.root]
+    s = [0] * len(names)
+    run = _compile(f, {name: k for k, name in enumerate(names)}, s, len(vs) - 1)
+    for choice in product(range(len(vs)), repeat=len(names)):
+        s[: len(names)] = choice
+        result = run()
+        if result != len(vs) - 1:
+            return {name: vs[i] for name, i in zip(names, choice)}, vs[result]
+    return None
 
 
 def chain_correspondence(k: int, f: Formula) -> tuple[bool, bool]:

@@ -119,19 +119,20 @@ class Model:
         if not ws:
             raise NoLeastElementError("a model needs at least one world")
         sorted_ws = sorted(ws)
-        if len(set(sorted_ws)) != len(sorted_ws):
+        index = {w: i for i, w in enumerate(sorted_ws)}
+        if len(index) != len(sorted_ws):
             raise ModelFormatError("duplicate worlds")
-        have = set(sorted_ws)
         for w in sorted_ws:
-            if w and w[:-1] not in have:
+            if w and w[:-1] not in index:
                 raise NotPrefixClosedError(f"missing prefix of {w!r}")
-        up = []
-        for i, w in enumerate(sorted_ws):
-            mask = 0
-            for j, v in enumerate(sorted_ws):
-                if v[: len(w)] == w:
-                    mask |= 1 << j
-            up.append(mask)
+        # A word sorts before its extensions and the words between them are
+        # extensions too, so each subtree is a contiguous run starting at
+        # its root.  Children come after their parent: one reverse pass
+        # sums the subtree sizes.
+        size = [1] * len(sorted_ws)
+        for i in range(len(sorted_ws) - 1, 0, -1):
+            size[index[sorted_ws[i][:-1]]] += size[i]
+        up = [((1 << size[i]) - 1) << i for i in range(len(sorted_ws))]
         return cls("tree", mode, sorted_ws, up, valuation)
 
     @classmethod

@@ -13,6 +13,9 @@ worlds and set quantifiers over *all* subsets of them.  Upward closure of
 the sets standing in for intuitionistic propositions is imposed by the
 guard the translation itself emits, not by the evaluator, which keeps this
 module independent of the forcing semantics it is used to cross-check.
+Each call compiles the formula into closures over node indices and
+bitmask sets; the prefix, immediate-successor and lexicographic relations
+are read off the model's words, never off the model's own order.
 
 Emitted text (stable, single line)::
 
@@ -31,6 +34,7 @@ unless it is an atom, a negation, or another quantifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .formula import (
     INT,
@@ -437,6 +441,143 @@ def emit(f: MsoFormula) -> str:
 
 # --- finite evaluation ------------------------------------------------------------
 
+_NODE, _SET = "node", "set"  # the two kinds of variable
+_ATOMS = (Member, Subset, PrefixLe, ImmediateLe, LexLe, NodeEq)
+
+
+class _Nodes:
+    """The nodes one evaluation can name, by index: the domain's worlds
+    first, in their sorted order, then each word outside the domain that the
+    environment mentions.  The relations are read off the words, once per
+    evaluation and only for the atoms that occur, as per-node masks."""
+
+    def __init__(self, worlds):
+        self.words = list(worlds)
+        self.size = len(self.words)  # the domain is indices 0 .. size-1
+        self.index = {w: i for i, w in enumerate(self.words)}
+
+    def add(self, word) -> int:
+        i = self.index.setdefault(word, len(self.words))
+        if i == len(self.words):
+            self.words.append(word)
+        return i
+
+    @cached_property
+    def parent(self) -> list[int]:
+        """Per node, the node that is its word minus the last letter, or -1."""
+        return [self.index.get(w[:-1], -1) if w else -1 for w in self.words]
+
+    @cached_property
+    def prefixes(self) -> list[int]:
+        """Per node, the mask of the nodes whose words are prefixes of its own."""
+        words, parent = self.words, self.parent
+        masks = [0] * len(words)
+        for j in sorted(range(len(words)), key=lambda j: len(words[j])):
+            if parent[j] >= 0:
+                masks[j] = masks[parent[j]] | 1 << j
+            else:  # the root, or a word outside the domain
+                w = words[j]
+                masks[j] = sum(1 << i for i, v in enumerate(words) if w[: len(v)] == v)
+        return masks
+
+    @cached_property
+    def lex_below(self) -> list[int]:
+        """Per node, the mask of the nodes lexicographically at or below it."""
+        masks, acc = [0] * len(self.words), 0
+        for j in sorted(range(len(self.words)), key=self.words.__getitem__):
+            acc |= 1 << j
+            masks[j] = acc
+        return masks
+
+
+def _operands(g, scope: dict) -> tuple[list[int] | None, str | None]:
+    """The slots of an atom's two operands, or the error for the first one
+    that names no variable of the kind its position needs."""
+    if isinstance(g, Member):
+        terms = ((g.elem, _NODE), (g.setvar, _SET))
+    else:
+        kind = _SET if isinstance(g, Subset) else _NODE
+        terms = ((g.left, kind), (g.right, kind))
+    slots = []
+    for name, kind in terms:
+        if kind is _NODE and name == ROOT:
+            slots.append(0)
+            continue
+        bound = scope.get(name)
+        if bound is None:
+            which = "individual" if kind is _NODE else "set"
+            return None, f"unbound {which} variable {name!r}"
+        if bound[0] is not kind:
+            return None, f"{name!r} is bound to a {bound[0]}, not a {kind}"
+        slots.append(bound[1])
+    return slots, None
+
+
+def _compile(g: MsoFormula, scope: dict, s: list, nodes: _Nodes):
+    """A closure that evaluates `g` with its variables read from the slot
+    list `s`; `scope` maps each variable in scope to its kind and slot."""
+    if isinstance(g, _ATOMS):
+        slots, error = _operands(g, scope)
+        if error is not None:
+            # Raised only when reached: `false & x in X` is false, x unbound.
+            def fail():
+                raise UnboundVariableError(error)
+
+            return fail
+        a, b = slots
+        if isinstance(g, Member):
+            return lambda: s[b] >> s[a] & 1
+        if isinstance(g, Subset):
+            return lambda: not s[a] & ~s[b]
+        if isinstance(g, PrefixLe):
+            prefixes = nodes.prefixes
+            return lambda: prefixes[s[b]] >> s[a] & 1
+        if isinstance(g, ImmediateLe):
+            parent = nodes.parent
+            return lambda: parent[s[b]] == s[a]
+        if isinstance(g, LexLe):
+            lex_below = nodes.lex_below
+            return lambda: lex_below[s[b]] >> s[a] & 1
+        return lambda: s[a] == s[b]  # NodeEq: distinct nodes have distinct words
+    if isinstance(g, Falsum):
+        return lambda: False
+    if isinstance(g, (Conj, Disj, Impl)):
+        left = _compile(g.left, scope, s, nodes)
+        right = _compile(g.right, scope, s, nodes)
+        if isinstance(g, Conj):
+            return lambda: left() and right()
+        if isinstance(g, Disj):
+            return lambda: left() or right()
+        return lambda: not left() or right()
+    if isinstance(g, Neg):
+        body = _compile(g.body, scope, s, nodes)
+        return lambda: not body()
+    if isinstance(g, (All1, Ex1, All2, Ex2)):
+        kind = _NODE if isinstance(g, (All1, Ex1)) else _SET
+        values = range(nodes.size) if kind is _NODE else range(1 << nodes.size)
+        k = len(s)
+        s.append(0)
+        body = _compile(g.body, {**scope, g.var: (kind, k)}, s, nodes)
+        if isinstance(g, (All1, All2)):
+            def every():
+                for v in values:
+                    s[k] = v
+                    if not body():
+                        return False
+                return True
+
+            return every
+
+        def some():
+            for v in values:
+                s[k] = v
+                if body():
+                    return True
+            return False
+
+        return some
+    raise TypeError(f"not a second-order formula node: {g!r}")
+
 
 def eval_finite(f: MsoFormula, domain: Model, env: dict) -> bool:
     """Evaluate `f` over a finite tree model.
@@ -445,107 +586,31 @@ def eval_finite(f: MsoFormula, domain: Model, env: dict) -> bool:
     over all of their subsets.  `env` assigns worlds to free individual
     variables and sets of worlds to free set variables; `root` always
     denotes the model's root.  Raises UnboundVariableError when a free
-    variable is missing from `env`.
+    variable that the evaluation reaches is missing from `env`.
+
+    `f` is compiled once per call into closures over a list of slots, one
+    per variable: a node is held as its index in the sorted worlds and a set
+    as a bitmask over them.  Words in `env` outside the domain get indices
+    of their own after the worlds, so they compare as words but are never
+    the value of a quantified variable.
     """
     if domain.kind != "tree":
         raise ValueError("finite evaluation is defined over tree models")
-    worlds = domain.worlds
+    nodes = _Nodes(domain.worlds)
+    s = [nodes.index[domain.root]]  # slot 0 holds `root`
     scope = {}
     for name, value in env.items():
         if isinstance(value, (set, frozenset)):
-            scope[name] = frozenset(tuple(w) for w in value)
+            mask = 0
+            for w in value:
+                mask |= 1 << nodes.add(tuple(w))
+            scope[name] = (_SET, len(s))
+            s.append(mask)
         elif isinstance(value, tuple):
-            scope[name] = value
+            scope[name] = (_NODE, len(s))
+            s.append(nodes.add(value))
         else:
             raise ValueError(
                 f"environment entry {name!r} must be a node (tuple) or a set of nodes"
             )
-    subsets_cache: list[frozenset] | None = None
-
-    def all_subsets() -> list[frozenset]:
-        nonlocal subsets_cache
-        if subsets_cache is None:
-            subsets_cache = [
-                frozenset(w for i, w in enumerate(worlds) if mask >> i & 1)
-                for mask in range(1 << len(worlds))
-            ]
-        return subsets_cache
-
-    def node(term: str):
-        if term == ROOT:
-            return domain.root
-        try:
-            value = scope[term]
-        except KeyError:
-            raise UnboundVariableError(f"unbound individual variable {term!r}") from None
-        if not isinstance(value, tuple):
-            raise UnboundVariableError(f"{term!r} is bound to a set, not a node")
-        return value
-
-    def collection(term: str) -> frozenset:
-        try:
-            value = scope[term]
-        except KeyError:
-            raise UnboundVariableError(f"unbound set variable {term!r}") from None
-        if not isinstance(value, frozenset):
-            raise UnboundVariableError(f"{term!r} is bound to a node, not a set")
-        return value
-
-    def run(g: MsoFormula) -> bool:
-        if isinstance(g, Member):
-            return node(g.elem) in collection(g.setvar)
-        if isinstance(g, Subset):
-            return collection(g.left) <= collection(g.right)
-        if isinstance(g, PrefixLe):
-            a, b = node(g.left), node(g.right)
-            return b[: len(a)] == a
-        if isinstance(g, ImmediateLe):
-            a, b = node(g.left), node(g.right)
-            return len(b) == len(a) + 1 and b[: len(a)] == a
-        if isinstance(g, LexLe):
-            return node(g.left) <= node(g.right)
-        if isinstance(g, NodeEq):
-            return node(g.left) == node(g.right)
-        if isinstance(g, Falsum):
-            return False
-        if isinstance(g, Conj):
-            return run(g.left) and run(g.right)
-        if isinstance(g, Disj):
-            return run(g.left) or run(g.right)
-        if isinstance(g, Impl):
-            return not run(g.left) or run(g.right)
-        if isinstance(g, Neg):
-            return not run(g.body)
-        if isinstance(g, (All1, Ex1)):
-            want_all = isinstance(g, All1)
-            sentinel = object()
-            saved = scope.get(g.var, sentinel)
-            try:
-                for w in worlds:
-                    scope[g.var] = w
-                    if run(g.body) != want_all:
-                        return not want_all
-                return want_all
-            finally:
-                if saved is sentinel:
-                    scope.pop(g.var, None)
-                else:
-                    scope[g.var] = saved
-        if isinstance(g, (All2, Ex2)):
-            want_all = isinstance(g, All2)
-            sentinel = object()
-            saved = scope.get(g.var, sentinel)
-            try:
-                for s in all_subsets():
-                    scope[g.var] = s
-                    if run(g.body) != want_all:
-                        return not want_all
-                return want_all
-            finally:
-                if saved is sentinel:
-                    scope.pop(g.var, None)
-                else:
-                    scope[g.var] = saved
-        raise TypeError(f"not a second-order formula node: {g!r}")
-
-    return run(f)
+    return bool(_compile(f, scope, s, nodes)())

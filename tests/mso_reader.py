@@ -1,12 +1,14 @@
 """Companion reader for the emitted second-order text, used to check that
-emission is deterministic, reparseable, and injective on ASTs; plus two
-walkers over second-order formulas that only the tests need: free names and
-the elimination of immediate-successor atoms."""
+emission is deterministic, reparseable, and injective on ASTs; plus three
+walkers over second-order formulas that only the tests need: free names, the
+elimination of immediate-successor atoms, and the reference finite-domain
+evaluator."""
 
 from __future__ import annotations
 
 import re
 
+from qptrees.formula import UnboundVariableError
 from qptrees.mso import (
     All1,
     All2,
@@ -175,3 +177,117 @@ def expand_immediate(f):
         return g
 
     return rewrite(f)
+
+
+def reference_eval_finite(f, domain, env):
+    """The plain walker that `qptrees.mso.eval_finite` is tested against.
+
+    It evaluates `f` over a finite tree model in a dynamically scoped
+    environment of words and frozensets of words.  Individual quantifiers
+    range over the model's worlds, set quantifiers over all of their
+    subsets; `root` always denotes the model's root.  Raises
+    UnboundVariableError when the walk reaches a variable that is unbound
+    or bound to the other kind.
+    """
+    if domain.kind != "tree":
+        raise ValueError("finite evaluation is defined over tree models")
+    worlds = domain.worlds
+    scope = {}
+    for name, value in env.items():
+        if isinstance(value, (set, frozenset)):
+            scope[name] = frozenset(tuple(w) for w in value)
+        elif isinstance(value, tuple):
+            scope[name] = value
+        else:
+            raise ValueError(
+                f"environment entry {name!r} must be a node (tuple) or a set of nodes"
+            )
+    subsets_cache = None
+
+    def all_subsets():
+        nonlocal subsets_cache
+        if subsets_cache is None:
+            subsets_cache = [
+                frozenset(w for i, w in enumerate(worlds) if mask >> i & 1)
+                for mask in range(1 << len(worlds))
+            ]
+        return subsets_cache
+
+    def node(term):
+        if term == ROOT:
+            return domain.root
+        try:
+            value = scope[term]
+        except KeyError:
+            raise UnboundVariableError(f"unbound individual variable {term!r}") from None
+        if not isinstance(value, tuple):
+            raise UnboundVariableError(f"{term!r} is bound to a set, not a node")
+        return value
+
+    def collection(term):
+        try:
+            value = scope[term]
+        except KeyError:
+            raise UnboundVariableError(f"unbound set variable {term!r}") from None
+        if not isinstance(value, frozenset):
+            raise UnboundVariableError(f"{term!r} is bound to a node, not a set")
+        return value
+
+    def run(g):
+        if isinstance(g, Member):
+            return node(g.elem) in collection(g.setvar)
+        if isinstance(g, Subset):
+            return collection(g.left) <= collection(g.right)
+        if isinstance(g, PrefixLe):
+            a, b = node(g.left), node(g.right)
+            return b[: len(a)] == a
+        if isinstance(g, ImmediateLe):
+            a, b = node(g.left), node(g.right)
+            return len(b) == len(a) + 1 and b[: len(a)] == a
+        if isinstance(g, LexLe):
+            return node(g.left) <= node(g.right)
+        if isinstance(g, NodeEq):
+            return node(g.left) == node(g.right)
+        if isinstance(g, Falsum):
+            return False
+        if isinstance(g, Conj):
+            return run(g.left) and run(g.right)
+        if isinstance(g, Disj):
+            return run(g.left) or run(g.right)
+        if isinstance(g, Impl):
+            return not run(g.left) or run(g.right)
+        if isinstance(g, Neg):
+            return not run(g.body)
+        if isinstance(g, (All1, Ex1)):
+            want_all = isinstance(g, All1)
+            sentinel = object()
+            saved = scope.get(g.var, sentinel)
+            try:
+                for w in worlds:
+                    scope[g.var] = w
+                    if run(g.body) != want_all:
+                        return not want_all
+                return want_all
+            finally:
+                if saved is sentinel:
+                    scope.pop(g.var, None)
+                else:
+                    scope[g.var] = saved
+        if isinstance(g, (All2, Ex2)):
+            want_all = isinstance(g, All2)
+            sentinel = object()
+            saved = scope.get(g.var, sentinel)
+            try:
+                for s in all_subsets():
+                    scope[g.var] = s
+                    if run(g.body) != want_all:
+                        return not want_all
+                return want_all
+            finally:
+                if saved is sentinel:
+                    scope.pop(g.var, None)
+                else:
+                    scope[g.var] = saved
+        raise TypeError(f"not a second-order formula node: {g!r}")
+
+    return run(f)

@@ -1,15 +1,28 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from helpers import random_formula
+from qptrees.cli import run
 from qptrees.formula import (
+    And,
+    Bottom,
     Box,
+    Exists,
+    Forall,
+    Implies,
     LanguageError,
     OpenFormulaError,
+    Or,
+    UnboundVariableError,
     Var,
+    free_vars,
     parse_formula,
+    print_formula,
 )
 from qptrees.godel import (
     chain_correspondence,
@@ -17,6 +30,7 @@ from qptrees.godel import (
     godel_eval,
     make_truth_values,
     parse_truth_values,
+    refuting_valuation,
 )
 from qptrees.suite import QEM
 
@@ -117,12 +131,14 @@ def test_valuation_must_map_into_the_set():
 
 
 def test_unbound_and_modal_errors():
-    from qptrees.formula import UnboundVariableError
-
     with pytest.raises(UnboundVariableError):
         godel_eval({}, Var("p"), ["0", "1"])
     with pytest.raises(LanguageError):
         godel_eval({}, Box(Var("p")), ["0", "1"])
+    with pytest.raises(LanguageError):
+        refuting_valuation(Box(Var("p")), ["0", "1"])
+    with pytest.raises(ValueError):
+        refuting_valuation(Var("p"), ["0", "1/2"])
 
 
 def test_chain_correspondence_k1():
@@ -163,3 +179,98 @@ def test_order_isomorphic_sets_same_tautologies():
     for _ in range(80):
         f = random_formula(rng, 3, closed=True, quantifiers=2)
         assert (godel_eval({}, f, regular) == 1) == (godel_eval({}, f, irregular) == 1)
+
+
+# --- ranks against rationals -------------------------------------------------------
+
+
+def fraction_eval(f, val, values):
+    """Goedel semantics computed on the rationals themselves."""
+    if isinstance(f, Var):
+        return val[f.name]
+    if isinstance(f, Bottom):
+        return Fraction(0)
+    if isinstance(f, (And, Or, Implies)):
+        a, b = fraction_eval(f.left, val, values), fraction_eval(f.right, val, values)
+        if isinstance(f, And):
+            return min(a, b)
+        if isinstance(f, Or):
+            return max(a, b)
+        return Fraction(1) if a <= b else b
+    assert isinstance(f, (Forall, Exists))
+    pick = min if isinstance(f, Forall) else max
+    return pick(fraction_eval(f.body, {**val, f.var: v}, values) for v in values)
+
+
+VALUE_SETS = [
+    make_truth_values(["0", "1/2", "1"]),
+    evenly_spaced(4),
+    evenly_spaced(7),
+    make_truth_values(["0", "1/7", "2/3", "1"]),
+]
+
+
+def test_ranks_agree_with_rationals():
+    rng = random.Random(20261020)
+    for values in VALUE_SETS:
+        for _ in range(150):
+            f = random_formula(rng, 4, quantifiers=2)
+            valuation = {v: rng.choice(values) for v in ("p", "q", "r")}
+            assert godel_eval(valuation, f, values) == fraction_eval(f, valuation, values)
+
+
+def brute_refutation(f, values):
+    names = sorted(free_vars(f))
+    for choice in product(values, repeat=len(names)):
+        valuation = dict(zip(names, choice))
+        result = fraction_eval(f, valuation, values)
+        if result != 1:
+            return valuation, result
+    return None
+
+
+def test_refuting_valuation_is_the_first_in_product_order():
+    rng = random.Random(20261021)
+    refuted = 0
+    for values in VALUE_SETS:
+        for _ in range(100):
+            f = random_formula(rng, 4, quantifiers=2)
+            got = refuting_valuation(f, values)
+            assert got == brute_refutation(f, values)
+            if got is not None:
+                refuted += 1
+                valuation, value = got
+                assert list(valuation) == sorted(free_vars(f))
+                assert all(isinstance(v, Fraction) for v in valuation.values())
+    assert refuted > 100
+    assert refuting_valuation(parse_formula("q -> p"), ["0", "1/2", "1"]) == (
+        {"p": 0, "q": HALF},
+        0,
+    )
+
+
+def cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+def test_godel_command_matches_a_brute_loop():
+    rng = random.Random(20261022)
+    for values in VALUE_SETS:
+        text = ",".join(str(v) for v in values)
+        for _ in range(25):
+            f = random_formula(rng, 4, quantifiers=2)
+            shown = print_formula(f)
+            lines = [f"FORMULA: {shown}", f"VALUES: {text}"]
+            names = sorted(free_vars(f))
+            expected = 0, lines + ["TAUTOLOGY: yes"]
+            for choice in product(values, repeat=len(names)):
+                result = godel_eval(dict(zip(names, choice)), f, values)
+                if result != 1:
+                    witness = ["WITNESS: " + ",".join(f"{n}={v}" for n, v in zip(names, choice))]
+                    expected = 1, lines + ["TAUTOLOGY: no"] + witness * bool(names) + [f"VALUE: {result}"]
+                    break
+            code, out = cli_stdout(["godel", "--formula", shown, "--values", text])
+            assert (code, out) == (expected[0], "".join(line + "\n" for line in expected[1]))

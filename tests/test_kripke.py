@@ -19,6 +19,7 @@ from qptrees.kripke import (
     load_model,
     upward_closure,
 )
+from qptrees.search import enumerate_trees
 
 DIAMOND = json.dumps(
     {
@@ -183,6 +184,33 @@ def test_chain_upset_counts():
     for n in range(1, 13):
         assert chain(n) == Model.tree([(0,) * i for i in range(n)])
         assert sum(1 for _ in enumerate_upsets(chain(n))) == n + 1
+
+
+def _pairwise_tree(words):
+    """The tree order by its definition: v lies above w iff w is a prefix of v."""
+    ws = sorted(words)
+    up = [sum(1 << j for j, v in enumerate(ws) if v[: len(w)] == w) for w in ws]
+    return Model("tree", "int", ws, up, {})
+
+
+def test_tree_order_matches_the_pairwise_definition():
+    rng = random.Random(9)
+    for n in range(1, 8):
+        for m in enumerate_trees(n):
+            words = list(m.worlds)
+            rng.shuffle(words)
+            assert Model.tree(words) == _pairwise_tree(words)
+    long_chain = chain(1200)
+    assert load_model(dump_model(long_chain)) == long_chain
+
+
+def test_tree_validation_order():
+    with pytest.raises(ModelFormatError, match="not a word"):
+        Model.tree([(), (0,), (0, 0), (0, 0), (1, -1)])
+    with pytest.raises(ModelFormatError, match="duplicate"):
+        Model.tree([(), (0, 0), (0, 0)])
+    with pytest.raises(NotPrefixClosedError, match=r"\(0, 0\)"):
+        Model.tree([(1, 1), (), (0, 0)])
 
 
 def test_upsets_of_a_long_chain():

@@ -4,12 +4,13 @@ from pathlib import Path
 import pytest
 
 from helpers import random_formula, random_tree_model
-from mso_reader import expand_immediate, free_names, read_mso
+from mso_reader import expand_immediate, free_names, read_mso, reference_eval_finite
 from qptrees.formula import (
     INT,
     S4,
     LanguageError,
     OpenFormulaError,
+    UnboundVariableError,
     Var,
     parse_formula,
 )
@@ -18,6 +19,7 @@ from qptrees.mso import (
     All1,
     All2,
     Conj,
+    Disj,
     Ex1,
     Ex2,
     Falsum,
@@ -37,6 +39,7 @@ from qptrees.mso import (
     translate_at,
     validity_sentence,
 )
+from qptrees.search import enumerate_trees
 from qptrees.semantics import extension_int, extension_s4
 from qptrees.suite import QEM
 
@@ -252,8 +255,6 @@ def test_eval_orders():
 
 
 def test_eval_unbound_variable():
-    from qptrees.formula import UnboundVariableError
-
     with pytest.raises(UnboundVariableError):
         eval_finite(Member("x", "X"), chain(1), {"X": set()})
     with pytest.raises(UnboundVariableError):
@@ -285,8 +286,6 @@ def test_immediate_successor_expansion_equivalent():
 
 
 def test_arity_predicate_expansion_agrees_on_trees():
-    from qptrees.search import enumerate_trees
-
     for n in (1, 2, 3, 4):
         pred = build_predicate("arity", "X", n)
         expanded = expand_immediate(pred)
@@ -336,3 +335,138 @@ def test_finite_validity_sentence_over_small_domains():
     # the 2-chain itself is a subtree refuting quantified excluded middle
     assert eval_finite(qem_sentence, two, {}) is False
     assert eval_finite(qem_sentence, chain(1), {}) is True
+
+
+# --- the compiled evaluator against the reference walker ---------------------------
+
+SMALL_TREES = [m for n in range(1, 5) for m in enumerate_trees(n)]
+
+
+def outcome(evaluate, f, m, env):
+    try:
+        return evaluate(f, m, env)
+    except UnboundVariableError as e:
+        return f"UnboundVariableError: {e}"
+
+
+def assert_agrees(f, m, env):
+    expected = outcome(reference_eval_finite, f, m, env)
+    assert outcome(eval_finite, f, m, env) == expected, (emit(f), m.worlds, env)
+
+
+def random_subset(rng, worlds):
+    return {w for w in worlds if rng.random() < 0.5}
+
+
+def test_compiled_evaluator_matches_reference_on_translations():
+    rng = random.Random(20261018)
+    for m in SMALL_TREES:
+        for mode in (INT, S4):
+            for _ in range(25):
+                f = random_formula(rng, 3, lang=mode, scope=("p", "q"), quantifiers=2)
+                t = translate_at(f, "x", mode)
+                env = {"T": random_subset(rng, m.worlds) | {m.root},
+                       "X_p": random_subset(rng, m.worlds),
+                       "X_q": random_subset(rng, m.worlds)}
+                for h in m.worlds:
+                    assert_agrees(t, m, {**env, "x": h})
+
+
+def test_compiled_evaluator_matches_reference_on_sentences():
+    rng = random.Random(20261019)
+    classes = [LogicClass.parse(c) for c in
+               ("qpHt", "qpHt-fin", "qpHt-2", "qpHt-omega", "s4t", "s4t-fin", "s4t-2")]
+    for m in SMALL_TREES:
+        for cls in classes:
+            for _ in range(3):
+                f = random_formula(rng, 3, lang=cls.mode, closed=True, quantifiers=2)
+                assert_agrees(validity_sentence(f, cls), m, {})
+
+
+def test_compiled_evaluator_matches_reference_on_predicates():
+    preds = [build_predicate(kind, "X") for kind in ("tree", "upward-closed", "finite")]
+    preds += [build_predicate("arity", "X", n) for n in (1, 2, 3)]
+    for m in SMALL_TREES:
+        for s in enumerate_subsets(m):
+            for pred in preds:
+                assert_agrees(pred, m, {"X": s})
+
+
+def test_eval_words_outside_the_domain():
+    m = chain(2)
+    env = {"a": (0, 1), "b": (0, 1, 2), "c": (), "d": (3, 4),
+           "X": {(), (5,)}, "Y": {(5,)}, "Z": {(0, 1)}}
+    names = [ROOT, "a", "b", "c", "d"]
+    for left in names:
+        for right in names:
+            for atom in (PrefixLe, ImmediateLe, LexLe, NodeEq):
+                assert_agrees(atom(left, right), m, env)
+        for sv in ("X", "Y", "Z"):
+            assert_agrees(Member(left, sv), m, env)
+    for left in ("X", "Y", "Z"):
+        for right in ("X", "Y", "Z"):
+            assert_agrees(Subset(left, right), m, env)
+    # quantifiers never take a value outside the domain
+    assert eval_finite(PrefixLe("c", "b"), m, env) is True
+    assert eval_finite(PrefixLe(ROOT, "d"), m, env) is True  # (3,) is no node
+    assert eval_finite(ImmediateLe("a", "b"), m, env) is True
+    assert eval_finite(Ex1("z", NodeEq("z", "a")), m, env) is False
+    assert eval_finite(Ex1("z", Conj(PrefixLe("z", "a"), Neg(NodeEq("z", ROOT)))), m, env) is True
+    assert eval_finite(Ex2("W", Subset("Y", "W")), m, env) is False
+    assert eval_finite(Ex2("W", Subset("W", "Y")), m, env) is True
+    assert eval_finite(Member("b", "Z"), m, {**env, "Z": {(0, 1, 2)}}) is True
+
+
+def test_eval_unbound_only_when_reached():
+    m = chain(2)
+    unreached = Conj(Falsum(), Member("x", "X"))
+    assert eval_finite(unreached, m, {}) is False
+    assert eval_finite(Impl(Falsum(), Subset("X", "Y")), m, {}) is True
+    assert eval_finite(All2("W", Disj(Subset("W", "W"), Member("x", "W"))), m, {}) is True
+    with pytest.raises(UnboundVariableError, match="unbound individual variable 'x'"):
+        eval_finite(Disj(Falsum(), Member("x", "X")), m, {})
+    with pytest.raises(UnboundVariableError, match="unbound set variable 'X'"):
+        eval_finite(Ex1("x", Member("x", "X")), m, {})
+    # the first operand's error comes first
+    with pytest.raises(UnboundVariableError, match="'x'"):
+        eval_finite(Member("x", "X"), m, {})
+
+
+def test_eval_binders_shadow():
+    m = chain(3)
+    # the inner binder of x is a set; the outer node x is out of scope there
+    f = All1("x", Ex2("x", Member(ROOT, "x")))
+    assert eval_finite(f, m, {}) is True
+    assert_agrees(f, m, {})
+    # a binder hides an environment entry of the other kind, and unhides it after
+    g = Conj(Ex1("X", NodeEq("X", ROOT)), Member(ROOT, "X"))
+    assert eval_finite(g, m, {"X": {()}}) is True
+    assert_agrees(g, m, {"X": {()}})
+    h = Ex1("y", Conj(Neg(NodeEq("y", ROOT)), All1("y", PrefixLe(ROOT, "y"))))
+    assert eval_finite(h, m, {}) is True
+
+
+def test_eval_root_always_denotes_the_root():
+    m = chain(3)
+    env = {ROOT: (0, 0), "r": ()}
+    assert eval_finite(NodeEq(ROOT, "r"), m, env) is True
+    assert eval_finite(All1(ROOT, NodeEq(ROOT, "r")), m, env) is True
+    # as a set variable, `root` is an ordinary name
+    assert eval_finite(Ex2(ROOT, Member("r", ROOT)), m, {"r": ()}) is True
+    for f in (NodeEq(ROOT, "r"), All1(ROOT, NodeEq(ROOT, "r")), Ex2(ROOT, Member("r", ROOT))):
+        assert_agrees(f, m, env)
+
+
+def test_eval_kind_errors():
+    m = chain(2)
+    with pytest.raises(UnboundVariableError, match="'X' is bound to a set, not a node"):
+        eval_finite(Member("X", "X"), m, {"X": set()})
+    with pytest.raises(UnboundVariableError, match="'x' is bound to a node, not a set"):
+        eval_finite(Member("x", "x"), m, {"x": ()})
+    with pytest.raises(UnboundVariableError, match="'y' is bound to a node, not a set"):
+        eval_finite(All1("y", Subset("y", "y")), m, {})
+    for f, env in ((Member("X", "X"), {"X": set()}), (Member("x", "x"), {"x": ()}),
+                   (All1("y", Subset("y", "y")), {})):
+        assert_agrees(f, m, env)
+    with pytest.raises(ValueError, match="must be a node"):
+        eval_finite(Falsum(), m, {"x": [0]})
