@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .formula import parse_formula, print_formula
 from .godel import godel_eval, parse_truth_values, refuting_valuation
-from .kripke import dump_model, load_model
+from .kripke import ModelFormatError, dump_model, load_model, tree_world
 from .embedding import t_embed
 from .mso import LogicClass, emit, validity_sentence
 from .search import STRUCTURE_CLASSES, SearchBounds, bounded_validity
@@ -40,8 +40,8 @@ def _cmd_check(ns) -> tuple[int, list[str]]:
         world = m.root
     elif m.kind == "tree":
         try:
-            world = tuple(json.loads(ns.world))
-        except (json.JSONDecodeError, TypeError):
+            world = tree_world(json.loads(ns.world))
+        except (json.JSONDecodeError, ModelFormatError):
             raise ValueError(f"tree worlds are JSON arrays, got {ns.world!r}") from None
     else:
         world = ns.world
@@ -200,3 +200,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 INT = "int"
 S4 = "s4"
@@ -134,10 +135,10 @@ VAR, BOT, AND, OR, IMPLIES, FORALL, EXISTS, BOX, DIA = range(9)
 # The proposition that fixes a one-polarity quantifier.
 EMPTY, FULL = "empty", "full"
 
-_OPS = {
+_OPS = MappingProxyType({
     Var: VAR, Bottom: BOT, And: AND, Or: OR, Implies: IMPLIES,
     Forall: FORALL, Exists: EXISTS, Box: BOX, Diamond: DIA,
-}
+})
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,8 +17,9 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import json
-from itertools import combinations
-from typing import Iterable, Iterator
+from itertools import combinations, cycle, repeat
+from operator import lshift, or_
+from typing import Callable, Iterable, Iterator
 
 from .formula import INT, S4
 
@@ -56,9 +57,15 @@ class UnknownWorldError(ModelError):
 
 
 def _is_word(w) -> bool:
-    return isinstance(w, tuple) and all(
-        isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in w
-    )
+    # Exactly int: True and 0.0 compare equal to naturals but are not words.
+    return isinstance(w, tuple) and (not w or (set(map(type, w)) == {int} and min(w) >= 0))
+
+
+def tree_world(obj) -> tuple[int, ...]:
+    """The tree world id that a decoded JSON value denotes: an array of naturals."""
+    if not isinstance(obj, list) or not _is_word(tuple(obj)):
+        raise ModelFormatError(f"tree worlds are arrays of naturals: {obj!r}")
+    return tuple(obj)
 
 
 class Model:
@@ -156,6 +163,8 @@ class Model:
             if len(pair) != 2:
                 raise ModelFormatError(f"edge is not a pair: {e!r}")
             a, b = pair
+            if not isinstance(a, str) or not isinstance(b, str):
+                raise ModelFormatError(f"edge endpoints must be world labels: {e!r}")
             if a not in index or b not in index:
                 raise ModelFormatError(f"edge mentions unknown world: {e!r}")
             up[index[a]] |= 1 << index[b]
@@ -252,6 +261,30 @@ class Model:
     def _subset_masks(self) -> range:
         return range(1 << len(self.worlds))
 
+    def _offset_masks(self) -> tuple[tuple, tuple]:
+        """The order as offset masks (see :class:`Forest`), one per offset
+        d from 0 to the world count less one; the mask at d = 0 is 0."""
+        n = len(self.worlds)
+        ahead, behind = [0] * n, [0] * n
+        if self.kind == "tree":
+            # Each subtree is the run of indices that starts at its root, so
+            # v is a strict successor of v - d iff 0 < d < size(v - d).
+            by_size = [0] * (n + 1)
+            for w, mask in enumerate(self._up):
+                by_size[mask.bit_count()] |= 1 << w
+            larger = 0
+            for d in range(n - 1, 0, -1):
+                larger |= by_size[d + 1]
+                ahead[d] = larger << d
+        else:
+            for w, mask in enumerate(self._up):
+                for v in range(n):
+                    if v > w and mask >> v & 1:
+                        ahead[v - w] |= 1 << v
+                    elif v < w and mask >> v & 1:
+                        behind[w - v] |= 1 << v
+        return tuple(ahead), tuple(behind)
+
     # -- misc ----------------------------------------------------------------
 
     def to_obj(self) -> dict:
@@ -311,6 +344,97 @@ def chain(n: int, mode: str = INT) -> Model:
     return Model("tree", mode, [(0,) * i for i in range(n)], up, {})
 
 
+class Forest:
+    """Rooted structures of `size` worlds each, side by side as one bit vector.
+
+    Component i of the `count` components holds the worlds ``i * size`` to
+    ``(i + 1) * size - 1``, in the order of its own worlds, and `starts` has
+    a bit at each component's first world.  The order is kept as offset
+    masks: `ahead` pairs each d > 0 with the worlds v whose world v - d is a
+    strict predecessor of v, `behind` each d > 0 with the worlds v whose
+    world v + d is one.  So `down` costs two operations per offset however
+    many components there are.  A single model is a forest of one
+    component.
+
+    `upsets` returns, when called, the upward-closed sets of each component
+    as masks local to it; `valuation` assigns a variable only where every
+    component assigns it.
+    """
+
+    __slots__ = (
+        "size", "count", "full", "starts", "ahead", "behind", "valuation", "_upsets",
+    )
+
+    def __init__(self, size: int, parts, upsets: Callable[[], list], valuation=None):
+        # `parts` lists each component's `ahead` and `behind` masks, local
+        # to it and indexed by offset (see `Model._offset_masks`).
+        # Components own disjoint bits, so placing them side by side is a
+        # sum of shifts.
+        self.size = size
+        self.count = len(parts)
+        self.full = (1 << size * self.count) - 1
+        offsets = range(0, size * self.count, size)
+        ahead, behind = zip(*parts)
+        self.starts = sum(map(lshift, repeat(1, self.count), offsets))
+        self.ahead = _stacked(ahead, offsets)
+        self.behind = _stacked(behind, offsets)
+        self._upsets = upsets
+        self.valuation = valuation or {}
+
+    @classmethod
+    def of(cls, models) -> "Forest":
+        """The models, all of one size, side by side in the given order."""
+        size = len(models[0].worlds)
+        shared = set.intersection(*(set(m._val_masks) for m in models))
+        valuation = {
+            var: sum(m._val_masks[var] << i * size for i, m in enumerate(models))
+            for var in shared
+        }
+        parts = [m._offset_masks() for m in models]
+        return cls(size, parts, lambda: [m._upset_masks() for m in models], valuation)
+
+    def down(self, x: int) -> int:
+        """The worlds that lie below or at some world of `x`."""
+        result = x
+        for d, mask in self.ahead:
+            result |= (x & mask) >> d
+        for d, mask in self.behind:
+            result |= (x & mask) << d
+        return result
+
+    def propositions(self, s4: bool):
+        """The forest's propositions, zipped across its components.
+
+        Proposition k is the union over the components of each one's
+        proposition k mod (its number of propositions), so every component
+        meets each of its own propositions at least once.  In S4 mode every
+        component has the 2**size subsets, and proposition k is k placed
+        in each component: k * starts.
+        """
+        if s4:
+            return range(0, self.starts << self.size, self.starts)
+        # Components with as many upsets as each other are merged first,
+        # then each merged list is repeated up to the longest one.
+        tiles = {}
+        for i, ups in enumerate(self._upsets()):
+            offset = i * self.size
+            tile = tiles.get(len(ups))
+            if tile is None:
+                tiles[len(ups)] = [u << offset for u in ups]
+            else:
+                tiles[len(ups)] = [t | u << offset for t, u in zip(tile, ups)]
+        zipped = [0] * max(tiles)
+        for tile in tiles.values():
+            zipped = list(map(or_, zipped, cycle(tile)))
+        return zipped
+
+
+def _stacked(masks, offsets) -> tuple:
+    """(d, mask) for each offset d at which some component has a mask."""
+    columns = (sum(map(lshift, column, offsets)) for column in zip(*masks))
+    return tuple((d, mask) for d, mask in enumerate(columns) if mask)
+
+
 # --- the model file format -------------------------------------------------
 
 
@@ -349,12 +473,21 @@ def load_model(text: str) -> Model:
             return tuple(w)
         return w
 
+    def image_world(w):
+        # The factories validate the worlds, but the worlds of a valuation
+        # image are only looked up, so they are checked here.
+        if kind == "tree":
+            return tree_world(w)
+        if not isinstance(w, str):
+            raise ModelFormatError(f"poset worlds are strings: {w!r}")
+        return w
+
     decoded = [decode_world(w) for w in worlds]
     valuation = {}
     for var, image in raw_val.items():
         if not isinstance(image, list):
             raise ModelFormatError(f"valuation of {var!r} must be a list")
-        valuation[var] = [decode_world(w) for w in image]
+        valuation[var] = [image_world(w) for w in image]
     try:
         if kind == "tree":
             m = Model.tree(decoded, valuation, mode)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from .formula import (
     INT,
@@ -159,7 +160,7 @@ MsoFormula = (
     | Conj | Disj | Impl | Neg | All1 | Ex1 | All2 | Ex2
 )
 
-_QUANTIFIERS = {All1: "all1", Ex1: "ex1", All2: "all2", Ex2: "ex2"}
+_QUANTIFIERS = MappingProxyType({All1: "all1", Ex1: "ex1", All2: "all2", Ex2: "ex2"})
 
 
 def _conj(parts) -> MsoFormula:

@@ -21,8 +21,8 @@ from .formula import (
     compile_formula,
     print_formula,
 )
-from .kripke import Model, chain
-from .semantics import validates
+from .kripke import Forest, Model, chain
+from .semantics import forest_extension
 
 STRUCTURE_CLASSES = ("finite-trees", "finite-posets", "chains")
 
@@ -60,7 +60,16 @@ class SearchOutcome:
 # A tree shape is the tuple of its children's shapes, children sorted
 # ascending, so equal shapes are exactly the isomorphic trees.
 
+# Shapes by size: one entry per size already searched, holding each shape
+# of that size.
 _shape_cache: dict[int, tuple] = {}
+
+# Per-shape data beside `_shape_cache`: `_shape_data[i]` is (size, child
+# ids, offset masks) of the shape with id i.  Ids run size by size in
+# `_shapes` order, so the shapes of one size have consecutive ids, and a
+# search keys its per-shape work by id instead of rehashing nested tuples.
+# One entry per shape of a size already searched.
+_shape_data: list[tuple] = []
 
 
 def _shapes(n: int) -> tuple:
@@ -100,15 +109,52 @@ def _add_shape(shape, word, words, up):
     up[i] = ((1 << len(words) - i) - 1) << i
 
 
+def _tree_model(shape, mode: str) -> Model:
+    words, up = [], []
+    _add_shape(shape, (), words, up)
+    return Model("tree", mode, words, up, {})
+
+
 def enumerate_trees(n: int, mode: str = INT) -> Iterator[Model]:
     """All rooted trees with exactly `n` nodes, one per isomorphism class,
     as prefix-closed word sets with sibling subtrees in canonical order."""
     if n < 1:
         raise SearchBoundError("need at least one world")
     for shape in _shapes(n):
-        words, up = [], []
-        _add_shape(shape, (), words, up)
-        yield Model("tree", mode, words, up, {})
+        yield _tree_model(shape, mode)
+
+
+def _shape_ids(n: int) -> range:
+    """The ids of the shapes with `n` worlds, recording their data first."""
+    first = sum(len(_shapes(size)) for size in range(1, n))
+    ids = range(first, first + len(_shapes(n)))
+    if len(_shape_data) < ids.stop:
+        index, start = {}, 0  # shape -> id, for the smaller sizes
+        for size in range(1, n + 1):
+            shapes = _shapes(size)
+            if start == len(_shape_data):
+                for shape in shapes:
+                    offsets, _ = _tree_model(shape, INT)._offset_masks()
+                    _shape_data.append((size, tuple(index[c] for c in shape), offsets))
+            index.update(zip(shapes, range(start, start + len(shapes))))
+            start += len(shapes)
+    return ids
+
+
+def _shape_upsets(i: int, memo: dict) -> list[int]:
+    """The upsets of shape `i`: the whole tree, and every union of one upset
+    per child subtree.  `memo` holds them by shape id for one search."""
+    ups = memo.get(i)
+    if ups is None:
+        size, children, _ = _shape_data[i]
+        ups, offset = [0], 1
+        for child in children:
+            below = _shape_upsets(child, memo)
+            ups = [u | v << offset for u in ups for v in below]
+            offset += _shape_data[child][0]
+        ups.append((1 << size) - 1)
+        memo[i] = ups
+    return ups
 
 
 # --- posets with a least element -----------------------------------------------
@@ -177,18 +223,46 @@ def enumerate_posets(n: int, mode: str = INT) -> Iterator[Model]:
         yield Model.poset(worlds, edges, {}, mode)
 
 
-def _enumerate_chains(n: int, mode: str) -> Iterator[Model]:
-    yield chain(n, mode)
-
-
 # --- the search itself -------------------------------------------------------------
+
+# The most worlds one forest holds; a size class with more is split into
+# consecutive forests.  The evaluator's memo holds a forest-wide mask per
+# assignment, so wider forests cost memory for little speed.
+FOREST_WORLDS = 512
+
+
+def _tree_forests(n: int, mode: str, memo: dict):
+    """(forest, component -> model) for the trees of `n` worlds, in order;
+    `memo` holds the upsets of shapes by id for one search."""
+    ids = _shape_ids(n)
+    shapes = _shapes(n)
+    per = max(1, FOREST_WORLDS // n)
+    for start in range(0, len(ids), per):
+        chunk = ids[start:start + per]
+        forest = Forest(
+            n,
+            [(_shape_data[i][2], ()) for i in chunk],
+            lambda chunk=chunk: [_shape_upsets(i, memo) for i in chunk],
+        )
+        yield forest, lambda k, start=start: _tree_model(shapes[start + k], mode)
+
+
+def _model_forests(models: list, n: int):
+    """(forest, component -> model) for the given models of `n` worlds."""
+    per = max(1, FOREST_WORLDS // n)
+    for start in range(0, len(models), per):
+        chunk = models[start:start + per]
+        yield Forest.of(chunk), chunk.__getitem__
 
 
 def bounded_validity(f: Formula, bounds: SearchBounds, mode: str = INT) -> SearchOutcome:
     """Search all structures of the bounded class for a countermodel to `f`.
 
     Returns the canonically least countermodel if one exists within the
-    bounds, otherwise records that none was found up to them.
+    bounds, otherwise records that none was found up to them.  Each size
+    class is evaluated as forests, the disjoint unions of its structures
+    in enumeration order; the countermodel is the first structure whose
+    root lies outside the extension.
     """
     table = compile_formula(f)
     if table.free[table.root]:
@@ -197,18 +271,22 @@ def bounded_validity(f: Formula, bounds: SearchBounds, mode: str = INT) -> Searc
         )
     if mode == INT and table.modal:
         raise LanguageError("modal formulas need s4 mode")
-    if bounds.structure_class == "finite-trees":
-        generate = enumerate_trees
-    elif bounds.structure_class == "finite-posets":
-        if bounds.max_worlds > POSET_WORLD_CAP:
-            raise SearchBoundError(
-                f"poset search supports at most {POSET_WORLD_CAP} worlds"
-            )
-        generate = enumerate_posets
-    else:
-        generate = _enumerate_chains
+    if bounds.structure_class == "finite-posets" and bounds.max_worlds > POSET_WORLD_CAP:
+        raise SearchBoundError(
+            f"poset search supports at most {POSET_WORLD_CAP} worlds"
+        )
+    upsets = {}
     for n in range(1, bounds.max_worlds + 1):
-        for m in generate(n, mode):
-            if not validates(m, table):
-                return SearchOutcome(m, bounds)
+        if bounds.structure_class == "finite-trees":
+            forests = _tree_forests(n, mode, upsets)
+        elif bounds.structure_class == "finite-posets":
+            forests = _model_forests(list(enumerate_posets(n, mode)), n)
+        else:
+            forests = _model_forests([chain(n, mode)], n)
+        for forest, model in forests:
+            # every enumerated structure lists its root first
+            refuted = forest.starts & ~forest_extension(forest, table, mode)
+            if refuted:
+                first = (refuted & -refuted).bit_length() - 1
+                return SearchOutcome(model(first // n), bounds)
     return SearchOutcome(None, bounds)

@@ -7,19 +7,39 @@ plus the masks currently assigned to that node's free variables, so
 quantifier nesting does not re-evaluate closed parts, equal subformulas are
 evaluated once, and no formula is hashed while evaluating.
 
+Evaluation runs on a `kripke.Forest`: structures of one size side by side
+in one bit vector, a single model being a forest of one component.  The
+order enters only through `Forest.down`, the worlds with a successor in a
+set, which `->` (intuitionistic), `box` and `dia` need.  So one evaluation
+decides a closed formula on every structure of a size class at once; that
+is how `search` uses it.
+
 Propositional quantifiers range over all upward-closed subsets of the
 worlds in intuitionistic mode, over all subsets in S4 mode; the empty and
-the full set are always among them.  A quantifier whose variable occurs in
-its body in one polarity only, or not at all, is decided by one of those
-two: `forall p A` is A[p:=empty] when p occurs only positively and
-A[p:=full] when only negatively, and `exists p A` is the mirror image.
-This holds because `->` is antitone in its antecedent and monotone in its
-consequent, in both readings, and `&`, `|`, `box`, `dia` and the
-quantifiers over other variables are monotone; so for a positive-only p,
-U included in U' gives ext(A[p:=U]) included in ext(A[p:=U']), and the
-intersection over all U, the extension of `forall p A`, is
-ext(A[p:=empty]).  Only the remaining quantifiers enumerate propositions;
-their list is fetched once per evaluation, and only when one occurs.
+the full set are always among them.  On a forest they range over the
+zipped propositions of `Forest.propositions`: proposition k is the union
+of proposition k mod |U_i| of each component i, where U_i lists that
+component's own propositions.  That is exact, by locality.  Truth at a
+world depends only on the worlds above it and the valuation there, and a
+world's successors all lie in its own component; so each clause computes,
+on component i, what it would compute on structure i alone with every
+variable assigned its trace there.  The trace of proposition k on
+component i is U_i[k mod |U_i|], and as k runs through all the zipped
+propositions that runs through all of U_i, repeats aside, which change no
+intersection and no union.  By induction, the slice of every extension on
+component i is the extension on structure i alone.
+
+A quantifier whose variable occurs in its body in one polarity only, or
+not at all, is decided by the empty or the full proposition: `forall p A`
+is A[p:=empty] when p occurs only positively and A[p:=full] when only
+negatively, and `exists p A` is the mirror image.  This holds because
+`->` is antitone in its antecedent and monotone in its consequent, in both
+readings, and `&`, `|`, `box`, `dia` and the quantifiers over other
+variables are monotone; so for a positive-only p, U included in U' gives
+ext(A[p:=U]) included in ext(A[p:=U']), and the intersection over all U,
+the extension of `forall p A`, is ext(A[p:=empty]).  Only the remaining
+quantifiers enumerate propositions; their list is built once per
+evaluation, and only when one occurs.
 
 Every public function takes either a formula or its compiled node table;
 passing the table lets a caller that evaluates one formula on many models
@@ -49,7 +69,7 @@ from .formula import (
     UnboundVariableError,
     compile_formula,
 )
-from .kripke import Model
+from .kripke import Forest, Model
 
 
 @dataclass(frozen=True)
@@ -64,8 +84,8 @@ def _compiled(f: Formula | NodeTable) -> NodeTable:
     return f if isinstance(f, NodeTable) else compile_formula(f)
 
 
-def _extension_mask(m: Model, t: NodeTable, s4: bool) -> int:
-    val = dict(m._val_masks)
+def _extension_mask(forest: Forest, t: NodeTable, s4: bool) -> int:
+    val = dict(forest.valuation)
     for v in t.free[t.root]:
         if v not in val:
             raise UnboundVariableError(f"no proposition assigned to variable {v!r}")
@@ -73,11 +93,8 @@ def _extension_mask(m: Model, t: NodeTable, s4: bool) -> int:
     # itemgetter(*names)(val) is the memo key part of a node with free
     # variables: one mask, or a tuple of masks for two or more.
     getters = [itemgetter(*names) if names else None for names in t.free]
-    up, full = m._up, m._full
-    worlds = range(len(m.worlds))
-    propositions = ()
-    if t.quantified:
-        propositions = m._subset_masks() if s4 else m._upset_masks()
+    full, down = forest.full, forest.down
+    propositions = forest.propositions(s4) if t.quantified else ()
     memo = {}
     unset = object()
 
@@ -105,11 +122,7 @@ def _extension_mask(m: Model, t: NodeTable, s4: bool) -> int:
             else:
                 # h is in the extension iff no successor of h satisfies the
                 # antecedent without the consequent.
-                bad = left & ~right
-                result = 0
-                for w in worlds:
-                    if not up[w] & bad:
-                        result |= 1 << w
+                result = full & ~down(left & ~right)
         elif op == FORALL or op == EXISTS:
             p, body = a
             saved = val.get(p, unset)
@@ -136,17 +149,9 @@ def _extension_mask(m: Model, t: NodeTable, s4: bool) -> int:
             else:
                 val[p] = saved
         elif op == BOX:
-            b = ext(a[0])
-            result = 0
-            for w in worlds:
-                if not up[w] & ~b:
-                    result |= 1 << w
+            result = full & ~down(full & ~ext(a[0]))
         else:
-            b = ext(a[0])
-            result = 0
-            for w in worlds:
-                if up[w] & b:
-                    result |= 1 << w
+            result = down(ext(a[0]))
         memo[key] = result
         return result
 
@@ -158,52 +163,52 @@ def _extension_mask(m: Model, t: NodeTable, s4: bool) -> int:
         ext = None
 
 
-def _require_mode(m: Model, mode: str):
-    if m.mode != mode:
-        raise ValueError(f"model is in {m.mode!r} mode, expected {mode!r}")
-
-
-def _int_table(m: Model, f: Formula | NodeTable) -> NodeTable:
-    _require_mode(m, INT)
-    t = _compiled(f)
-    if t.modal:
-        raise LanguageError("box/dia encountered in intuitionistic evaluation")
-    return t
-
-
-def _int_mask(m: Model, t: NodeTable) -> int:
-    mask = _extension_mask(m, t, s4=False)
-    if m._closure(mask) != mask:
+def forest_extension(forest: Forest, f: Formula | NodeTable, mode: str) -> int:
+    """The extension of `f` on every component of `forest` at once, as a
+    mask over the forest's worlds."""
+    mask = _extension_mask(forest, _compiled(f), s4=mode == S4)
+    if mode == INT and forest.down(forest.full & ~mask) & mask:
         raise AssertionError("intuitionistic extension not upward closed")
     return mask
 
 
+def _model_table(m: Model, f: Formula | NodeTable, mode: str) -> NodeTable:
+    if m.mode != mode:
+        raise ValueError(f"model is in {m.mode!r} mode, expected {mode!r}")
+    t = _compiled(f)
+    if mode == INT and t.modal:
+        raise LanguageError("box/dia encountered in intuitionistic evaluation")
+    return t
+
+
+def _model_mask(m: Model, t: NodeTable) -> int:
+    return forest_extension(Forest.of([m]), t, m.mode)
+
+
 def extension_int(m: Model, f: Formula | NodeTable) -> Extension:
     """Worlds at which `f` holds intuitionistically; always upward closed."""
-    t = _int_table(m, f)
-    return Extension(t.formula, m._set_of(_int_mask(m, t)))
+    t = _model_table(m, f, INT)
+    return Extension(t.formula, m._set_of(_model_mask(m, t)))
 
 
 def extension_s4(m: Model, f: Formula | NodeTable) -> Extension:
     """Worlds at which `f` holds under the S4 reading."""
-    _require_mode(m, S4)
-    t = _compiled(f)
-    return Extension(t.formula, m._set_of(_extension_mask(m, t, s4=True)))
+    t = _model_table(m, f, S4)
+    return Extension(t.formula, m._set_of(_model_mask(m, t)))
 
 
 def forces_int(m: Model, world, f: Formula | NodeTable) -> bool:
     """Does `f` hold at `world` in the intuitionistic model `m`?"""
-    t = _int_table(m, f)
+    t = _model_table(m, f, INT)
     i = m.index_of(world)
-    return bool(_int_mask(m, t) >> i & 1)
+    return bool(_model_mask(m, t) >> i & 1)
 
 
 def forces_s4(m: Model, world, f: Formula | NodeTable) -> bool:
     """Does `f` hold at `world` in the S4 model `m`?"""
-    _require_mode(m, S4)
-    t = _compiled(f)
+    t = _model_table(m, f, S4)
     i = m.index_of(world)
-    return bool(_extension_mask(m, t, s4=True) >> i & 1)
+    return bool(_model_mask(m, t) >> i & 1)
 
 
 def validates(m: Model, f: Formula | NodeTable) -> bool:

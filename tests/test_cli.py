@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,11 +96,20 @@ def test_check_tree_world_syntax(tmp_path, capsys):
     assert "EXTENSION: [[0]]" in out
 
 
-def test_check_unknown_world_is_usage_error(diamond_file, capsys):
-    code = run(["check", "--model", diamond_file, "--formula", "bot", "--world", "zz"])
-    out = capsys.readouterr().out
-    assert code == 2
-    assert out.startswith("ERROR: ")
+def test_check_unknown_world_is_usage_error(diamond_file, tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"kind": "tree", "worlds": [[], [0], [1]], "mode": "int"}))
+    cases = [(diamond_file, "zz")] + [
+        # none is an array of naturals, though [0.0] and [true] compare equal
+        # to one and {} and "01" convert to a tuple
+        (str(tree), world)
+        for world in ("[[0]]", "[[]]", "{}", '"01"', "[0.0]", "[true]", "[5]", "zz")
+    ]
+    for path, world in cases:
+        code = run(["check", "--model", path, "--formula", "bot", "--world", world])
+        out = capsys.readouterr().out
+        assert code == 2, world
+        assert out.startswith("ERROR: ") and out.count("\n") == 1, (world, out)
 
 
 def test_translate_golden(capsys):
@@ -167,11 +179,37 @@ def test_examples_suite(capsys):
     assert all(l.endswith(": pass") for l in lines)
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert run([]) == 2
     assert run(["decide", "--formula", "p"]) == 2
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
+    tree = {"kind": "tree", "worlds": [[], [0]]}
+    poset = {"kind": "poset", "worlds": ["a", "b"], "edges": [["a", "b"]]}
+    for model in (
+        dict(tree, valuation={"p": [[[0]]]}),
+        dict(tree, valuation={"p": [[0.0]]}),
+        dict(poset, edges=[[["a"], "b"]]),
+        dict(poset, edges=[[{}, "b"]]),
+        dict(poset, valuation={"p": [{}]}),
+    ):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code = run(["check", "--model", str(path), "--formula", "bot"])
+        out = capsys.readouterr().out
+        assert code == 2, model
+        assert out.startswith("ERROR: ") and out.count("\n") == 1, (model, out)
+
+
+def test_module_entry_point(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "qptrees.cli", "decide", "--formula", "~(forall p (p | ~p))",
+         "--class", "finite-trees", "--max", "2"],
+        env={"PYTHONPATH": str(src)}, capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert done.returncode == 1
+    assert "OUTCOME: countermodel" in done.stdout.splitlines()
 
 
 def test_syntax_error_exit_2(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import naive_upsets, random_poset_model, random_tree_model
 from qptrees.kripke import (
+    Forest,
     Model,
     ModelFormatError,
     NoLeastElementError,
@@ -19,7 +20,7 @@ from qptrees.kripke import (
     load_model,
     upward_closure,
 )
-from qptrees.search import enumerate_trees
+from qptrees.search import enumerate_posets, enumerate_trees
 
 DIAMOND = json.dumps(
     {
@@ -255,3 +256,42 @@ def test_with_mode_and_assignment():
     with pytest.raises(ValuationNotPropositionError):
         m.with_assignment("p", {"g"})  # not upward closed in int mode
     assert s4.with_assignment("p", {"g"}).valuation["p"] == frozenset({"g"})
+
+
+def below_by_definition(m, x):
+    """The worlds with a successor in `x`, read off the successor masks."""
+    return sum(1 << w for w, above in enumerate(m._up) if above & x)
+
+
+def test_offset_masks_give_the_worlds_below():
+    models = [m for n in range(1, 8) for m in enumerate_trees(n)]
+    models += [m for n in range(1, 6) for m in enumerate_posets(n)]
+    models.append(load_model(DIAMOND))  # its root is not the first world
+    for m in models:
+        forest = Forest.of([m])
+        for x in range(1 << len(m.worlds)):
+            assert forest.down(x) == below_by_definition(m, x), (m, x)
+    # side by side, each component keeps to itself
+    for n in (4, 5):
+        for models in (list(enumerate_trees(n)), list(enumerate_posets(n))):
+            forest = Forest.of(models)
+            rng = random.Random(n)
+            for _ in range(50):
+                parts = [rng.getrandbits(n) for _ in models]
+                x = sum(part << k * n for k, part in enumerate(parts))
+                expected = sum(
+                    below_by_definition(m, part) << k * n
+                    for k, (m, part) in enumerate(zip(models, parts))
+                )
+                assert forest.down(x) == expected
+
+
+def test_offset_masks_of_a_long_chain():
+    m = chain(1200)
+    forest = Forest.of([m])
+    assert [d for d, _ in forest.ahead] == list(range(1, 1200)) and forest.behind == ()
+    rng = random.Random(1200)
+    for x in [0, 1, 1 << 1199, m._full] + [rng.getrandbits(1200) for _ in range(5)]:
+        assert forest.down(x) == below_by_definition(m, x)
+        # on a chain, a world lies below x iff it lies below x's last world
+        assert forest.down(x) == (1 << x.bit_length()) - 1

@@ -10,16 +10,19 @@ from helpers import (
     random_formula,
     rooted_tree_count,
 )
-from qptrees.formula import OpenFormulaError, LanguageError, Var, parse_formula
-from qptrees.kripke import Model
+from qptrees.formula import INT, S4, OpenFormulaError, LanguageError, Var, parse_formula
+from qptrees.kripke import Forest, Model, chain
 from qptrees.search import (
+    FOREST_WORLDS,
     SearchBoundError,
     SearchBounds,
+    _model_forests,
+    _tree_forests,
     bounded_validity,
     enumerate_posets,
     enumerate_trees,
 )
-from qptrees.semantics import validates
+from qptrees.semantics import extension_int, extension_s4, forest_extension, validates
 from qptrees.suite import NOT_NOT_QEM, NOT_QEM, WEM_TO_LIN, diamond_model
 
 
@@ -199,3 +202,120 @@ def test_search_input_checks():
         bounded_validity(closed_modal, SearchBounds(3, "finite-trees"), mode="s4").countermodel
         is None
     )
+
+
+# --- forests: each size class is evaluated at once ------------------------------
+
+FOREST_PINNED = [
+    "forall p (~p | ~~p) -> forall p forall q ((p -> q) | (q -> p))",  # w=2
+    "forall p exists q ((p -> q) & (q -> p | ~q))",  # w=2
+    "~~(forall p (p | ~p))",
+    "forall p ~~p -> exists p ~p",  # one-polarity quantifiers only
+    "exists p (~p & forall q (q | ~q)) | forall p (p -> bot -> bot)",
+]
+FOREST_PINNED_S4 = [
+    "forall p (box p -> p)",
+    "forall p (dia box p -> box dia p)",  # w=1, refuted on two branches
+    "forall p forall q (box (p -> q) -> box p -> box q)",  # w=2
+    "exists p (p & ~box p) | forall p (box p | dia ~p)",
+]
+
+
+def first_countermodel(f, cls, cap, mode):
+    """The reference the forest search must match: one structure at a time."""
+    for n in range(1, cap + 1):
+        if cls == "finite-trees":
+            models = enumerate_trees(n, mode)
+        elif cls == "finite-posets":
+            models = enumerate_posets(n, mode)
+        else:
+            models = [chain(n, mode)]
+        for m in models:
+            if not validates(m, f):
+                return m
+    return None
+
+
+def test_forest_search_matches_a_loop_over_structures():
+    rng = random.Random(5150)
+    plan = [
+        ("finite-trees", INT, 6), ("finite-trees", S4, 4),
+        ("finite-posets", INT, 4), ("finite-posets", S4, 4),
+        ("chains", INT, 6), ("chains", S4, 6),
+    ]
+    refuted = set()
+    for cls, mode, cap in plan:
+        pinned = FOREST_PINNED + (FOREST_PINNED_S4 if mode == S4 else [])
+        formulas = [parse_formula(text, mode) for text in pinned] + [
+            random_formula(rng, 4, lang=mode, quantifiers=rng.choice((2, 3)), closed=True)
+            for _ in range(25)
+        ]
+        for f in formulas:
+            expected = first_countermodel(f, cls, cap, mode)
+            assert bounded_validity(f, SearchBounds(cap, cls), mode).countermodel == expected, (
+                cls, mode, f)
+            if expected is not None:
+                refuted.add(len(expected.worlds))
+    assert max(refuted) >= 3  # not only one-world refutations
+
+
+def component_masks(forest, mask):
+    n = forest.size
+    return [mask >> k * n & (1 << n) - 1 for k in range(forest.count)]
+
+
+def check_forest_slices(forests, formulas, mode, enumerated):
+    """Each component's slice of the forest extension is the extension on
+    that structure alone, and the components are the enumerated structures
+    in order."""
+    extension = extension_int if mode == INT else extension_s4
+    models = []
+    for forest, model in forests:
+        assert forest.count * forest.size <= FOREST_WORLDS or forest.count == 1
+        component = [model(k) for k in range(forest.count)]
+        assert all(m.worlds[0] == m.root for m in component)
+        models += component
+        for f in formulas:
+            slices = component_masks(forest, forest_extension(forest, f, mode))
+            for m, got in zip(component, slices):
+                assert m._set_of(got) == extension(m, f).worlds, (m, f)
+    assert models == list(enumerated)
+
+
+def test_forest_extensions_are_the_extensions_of_their_components():
+    int_formulas = [parse_formula(t) for t in ("forall p (p | ~p)", "~~(forall p (p | ~p))",
+                                               "forall p (~p | ~~p)", "exists p (p & ~forall q (q | ~q))")]
+    # 115 trees of 8 worlds, 920 worlds: more than one forest
+    forests = list(_tree_forests(8, INT, {}))
+    assert len(forests) == 2
+    check_forest_slices(forests, int_formulas, INT, enumerate_trees(8))
+    for n in range(1, 7):
+        check_forest_slices(_tree_forests(n, INT, {}), int_formulas, INT, enumerate_trees(n))
+    s4_formulas = [parse_formula(t, S4) for t in FOREST_PINNED_S4 + ["box forall p (p | ~p)"]]
+    for n in range(1, 5):
+        check_forest_slices(_tree_forests(n, S4, {}), s4_formulas, S4, enumerate_trees(n, S4))
+    for n in range(1, 5):
+        for mode, formulas in ((INT, int_formulas), (S4, s4_formulas)):
+            posets = list(enumerate_posets(n, mode))
+            check_forest_slices(_model_forests(posets, n), formulas, mode, posets)
+
+
+def test_forest_of_models_with_valuations():
+    from helpers import random_poset_model, random_tree_model
+
+    rng = random.Random(44)
+    for mode in (INT, S4):
+        extension = extension_int if mode == INT else extension_s4
+        for _ in range(10):
+            models = []
+            while len(models) < 6:
+                make = random_tree_model if rng.random() < 0.5 else random_poset_model
+                m = make(rng, 4, mode, ("p", "q"))
+                if len(m.worlds) == 4:
+                    models.append(m)
+            forest = Forest.of(models)
+            for _ in range(4):
+                f = random_formula(rng, 3, lang=mode, scope=("p", "q"), quantifiers=2)
+                slices = component_masks(forest, forest_extension(forest, f, mode))
+                for m, got in zip(models, slices):
+                    assert m._set_of(got) == extension(m, f).worlds, (m, f)

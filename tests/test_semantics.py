@@ -26,7 +26,7 @@ from qptrees.formula import (
     compile_formula,
     parse_formula,
 )
-from qptrees.kripke import Model, chain, enumerate_subsets, enumerate_upsets, upward_closure
+from qptrees.kripke import Forest, Model, chain, enumerate_subsets, enumerate_upsets, upward_closure
 from qptrees.semantics import (
     extension_int,
     extension_s4,
@@ -34,6 +34,7 @@ from qptrees.semantics import (
     forces_s4,
     validates,
 )
+from qptrees.search import SearchBounds, bounded_validity
 from qptrees.suite import QEM, WEM_TO_LIN, diamond_model
 
 
@@ -299,16 +300,20 @@ def test_compiled_evaluator_agrees_with_oracle_s4():
 
 
 def test_fixed_quantifiers_enumerate_no_propositions(monkeypatch):
-    def spy(m):
+    def spy(*args):
         raise RuntimeError("propositions enumerated")
 
     monkeypatch.setattr(Model, "_upset_masks", spy)
     monkeypatch.setattr(Model, "_subset_masks", spy)
+    # S4 subsets are laid out by the forest itself, without the model
+    monkeypatch.setattr(Forest, "propositions", spy)
     m = tree_with_two_branches().with_assignment("q", [(0, 0)])
     fixed = parse_formula("forall p (p -> q) | exists p ~~p | ~forall p p")
     mixed = parse_formula("forall p (p | ~p)")
     assert extension_int(m, fixed).worlds == frozenset(m.worlds)
     assert forces_s4(m.with_mode(S4), (), fixed) is True
+    closed = parse_formula("forall p ~~p -> exists p ~p")
+    assert bounded_validity(closed, SearchBounds(5, "finite-trees")).countermodel is None
     for evaluate in (lambda: extension_int(m, mixed), lambda: validates(m.with_mode(S4), mixed)):
         with pytest.raises(RuntimeError, match="propositions enumerated"):
             evaluate()
