@@ -125,8 +125,15 @@ def _cmd_examples(ns) -> tuple[int, list[str]]:
     return 0 if all_ok else 1, lines + [f"RESULT: {'pass' if all_ok else 'fail'}"]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # stdout gets its KEY: value line; stderr keeps argparse's usage text
+        print(f"ERROR: {message}")
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qptrees",
         description="Model checking and bounded countermodel search for "
         "propositionally quantified intuitionistic and S4 logics on trees.",

@@ -11,7 +11,9 @@ Two flavours of structure are supported:
 Worlds are stored sorted (lexicographically for words, string order for
 labels) and propositions are handled internally as bit vectors over that
 ordering, which fixes all enumeration orders.  Models are immutable after
-construction and safe to share between threads.
+construction and safe to share between threads.  A forest zips its
+propositions on first use and keeps them; two first uses at once compute
+equal lists, so forests are safe to share as well.
 """
 
 from __future__ import annotations
@@ -191,12 +193,6 @@ class Model:
         """The same structure with the valuation replaced wholesale."""
         return Model(self.kind, self.mode, self.worlds, self._up, valuation)
 
-    def with_assignment(self, var: str, proposition) -> "Model":
-        """The model that differs only in what it assigns to `var`."""
-        valuation = dict(self.valuation)
-        valuation[var] = frozenset(proposition)
-        return Model(self.kind, self.mode, self.worlds, self._up, valuation)
-
     # -- lookups -------------------------------------------------------------
 
     def index_of(self, world) -> int:
@@ -357,12 +353,14 @@ class Forest:
     component.
 
     `upsets` returns, when called, the upward-closed sets of each component
-    as masks local to it; `valuation` assigns a variable only where every
-    component assigns it.
+    as masks local to it; the first intuitionistic `propositions` call
+    keeps their zip and drops `upsets`.  `valuation` assigns a variable only
+    where every component assigns it.
     """
 
     __slots__ = (
-        "size", "count", "full", "starts", "ahead", "behind", "valuation", "_upsets",
+        "size", "count", "full", "starts", "ahead", "behind", "valuation",
+        "_upsets", "_zipped",
     )
 
     def __init__(self, size: int, parts, upsets: Callable[[], list], valuation=None):
@@ -413,10 +411,13 @@ class Forest:
         """
         if s4:
             return range(0, self.starts << self.size, self.starts)
+        upsets = self._upsets
+        if upsets is None:
+            return self._zipped
         # Components with as many upsets as each other are merged first,
         # then each merged list is repeated up to the longest one.
         tiles = {}
-        for i, ups in enumerate(self._upsets()):
+        for i, ups in enumerate(upsets()):
             offset = i * self.size
             tile = tiles.get(len(ups))
             if tile is None:
@@ -426,6 +427,7 @@ class Forest:
         zipped = [0] * max(tiles)
         for tile in tiles.values():
             zipped = list(map(or_, zipped, cycle(tile)))
+        self._zipped, self._upsets = zipped, None
         return zipped
 
 

@@ -38,8 +38,8 @@ readings, and `&`, `|`, `box`, `dia` and the quantifiers over other
 variables are monotone; so for a positive-only p, U included in U' gives
 ext(A[p:=U]) included in ext(A[p:=U']), and the intersection over all U,
 the extension of `forall p A`, is ext(A[p:=empty]).  Only the remaining
-quantifiers enumerate propositions; their list is built once per
-evaluation, and only when one occurs.
+quantifiers enumerate propositions; a forest zips its list on the first
+evaluation in which one occurs, and keeps it for later ones.
 
 Every public function takes either a formula or its compiled node table;
 passing the table lets a caller that evaluates one formula on many models

@@ -118,6 +118,11 @@ def random_model(rng, max_worlds, mode=INT, variables=VARS):
     return random_poset_model(rng, max_worlds, mode, variables)
 
 
+def with_assignment(m, var, proposition):
+    """The model that differs from `m` only in what it assigns to `var`."""
+    return m.with_valuation({**m.valuation, var: frozenset(proposition)})
+
+
 # --- independent forcing oracle ----------------------------------------------------
 #
 # Pointwise recursion over worlds, with quantifiers ranging over subsets

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import random_formula, random_model, random_tree_model
+from helpers import random_formula, random_model, random_tree_model, with_assignment
 from qptrees.embedding import box_closure_valuation, t_embed
 from qptrees.formula import (
     INT,
@@ -71,7 +71,7 @@ def test_c2_extension_algebra():
         # the quantifiers intersect and unite over all propositions
         caps, cups = frozenset(m.worlds), frozenset()
         for prop in enumerate_upsets(m):
-            sub = extension_int(m.with_assignment("p", prop), a).worlds
+            sub = extension_int(with_assignment(m, "p", prop), a).worlds
             caps &= sub
             cups |= sub
         assert extension_int(m, Forall("p", a)).worlds == caps

@@ -180,10 +180,17 @@ def test_examples_suite(capsys):
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
-    assert run([]) == 2
-    assert run(["decide", "--formula", "p"]) == 2
-    assert run(["frobnicate"]) == 2
-    capsys.readouterr()
+    for argv, message in (
+        ([], "the following arguments are required: command"),
+        (["decide", "--formula", "p"], "the following arguments are required: --class, --max"),
+        (["decide", "--formula", "p", "--class", "chains", "--max", "abc"],
+         "argument --max: invalid int value: 'abc'"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith(f"ERROR: {message}") and out.count("\n") == 1, (argv, out)
+        assert err.startswith("usage: qptrees") and err.endswith(f"error: {out[7:]}"), (argv, err)
     tree = {"kind": "tree", "worlds": [[], [0]]}
     poset = {"kind": "poset", "worlds": ["a", "b"], "edges": [["a", "b"]]}
     for model in (

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import naive_upsets, random_poset_model, random_tree_model
+from helpers import naive_upsets, random_poset_model, random_tree_model, with_assignment
 from qptrees.kripke import (
     Forest,
     Model,
@@ -251,11 +251,11 @@ def test_with_mode_and_assignment():
     m = load_model(DIAMOND)
     s4 = m.with_mode("s4")
     assert s4.mode == "s4" and s4.worlds == m.worlds
-    m2 = m.with_assignment("p", {"t"})
+    m2 = with_assignment(m, "p", {"t"})
     assert m2.valuation["p"] == frozenset({"t"})
     with pytest.raises(ValuationNotPropositionError):
-        m.with_assignment("p", {"g"})  # not upward closed in int mode
-    assert s4.with_assignment("p", {"g"}).valuation["p"] == frozenset({"g"})
+        with_assignment(m, "p", {"g"})  # not upward closed in int mode
+    assert with_assignment(s4, "p", {"g"}).valuation["p"] == frozenset({"g"})
 
 
 def below_by_definition(m, x):

@@ -1,4 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +17,9 @@ from helpers import (
     rooted_tree_count,
 )
 from qptrees.formula import INT, S4, OpenFormulaError, LanguageError, Var, parse_formula
-from qptrees.kripke import Forest, Model, chain
+from qptrees import search
+from qptrees.embedding import t_embed
+from qptrees.kripke import Forest, Model, chain, dump_model
 from qptrees.search import (
     FOREST_WORLDS,
     SearchBoundError,
@@ -269,31 +277,33 @@ def check_forest_slices(forests, formulas, mode, enumerated):
     that structure alone, and the components are the enumerated structures
     in order."""
     extension = extension_int if mode == INT else extension_s4
-    models = []
-    for forest, model in forests:
+    enumerated = list(enumerated)
+    seen = 0
+    for start, forest in forests:
         assert forest.count * forest.size <= FOREST_WORLDS or forest.count == 1
-        component = [model(k) for k in range(forest.count)]
+        assert start == seen
+        seen += forest.count
+        component = enumerated[start:seen]
         assert all(m.worlds[0] == m.root for m in component)
-        models += component
         for f in formulas:
             slices = component_masks(forest, forest_extension(forest, f, mode))
-            for m, got in zip(component, slices):
+            for m, got in zip(component, slices, strict=True):
                 assert m._set_of(got) == extension(m, f).worlds, (m, f)
-    assert models == list(enumerated)
+    assert seen == len(enumerated)
 
 
 def test_forest_extensions_are_the_extensions_of_their_components():
     int_formulas = [parse_formula(t) for t in ("forall p (p | ~p)", "~~(forall p (p | ~p))",
                                                "forall p (~p | ~~p)", "exists p (p & ~forall q (q | ~q))")]
     # 115 trees of 8 worlds, 920 worlds: more than one forest
-    forests = list(_tree_forests(8, INT, {}))
+    forests = _tree_forests(8)
     assert len(forests) == 2
     check_forest_slices(forests, int_formulas, INT, enumerate_trees(8))
     for n in range(1, 7):
-        check_forest_slices(_tree_forests(n, INT, {}), int_formulas, INT, enumerate_trees(n))
+        check_forest_slices(_tree_forests(n), int_formulas, INT, enumerate_trees(n))
     s4_formulas = [parse_formula(t, S4) for t in FOREST_PINNED_S4 + ["box forall p (p | ~p)"]]
     for n in range(1, 5):
-        check_forest_slices(_tree_forests(n, S4, {}), s4_formulas, S4, enumerate_trees(n, S4))
+        check_forest_slices(_tree_forests(n), s4_formulas, S4, enumerate_trees(n, S4))
     for n in range(1, 5):
         for mode, formulas in ((INT, int_formulas), (S4, s4_formulas)):
             posets = list(enumerate_posets(n, mode))
@@ -319,3 +329,92 @@ def test_forest_of_models_with_valuations():
                 slices = component_masks(forest, forest_extension(forest, f, mode))
                 for m, got in zip(models, slices):
                     assert m._set_of(got) == extension(m, f).worlds, (m, f)
+
+
+# --- the forests of each tree size are built once per process --------------------
+
+TABLE_PLAN = [(INT, 8), (S4, 4), (INT, 3), (S4, 6)]
+TABLE_FORMULAS = {
+    INT: [
+        "forall p (p | ~p)",  # refuted at 2 worlds
+        "forall p forall q (q | (q -> (p | ~p)))",  # depth 2: refuted at 3
+        "~~(forall p (p | ~p))",
+        "forall p (~p | ~~p) -> forall p forall q ((p -> q) | (q -> p))",
+    ],
+    S4: [
+        "forall p (p -> box p)",
+        "forall p (dia box p -> box dia p)",
+        "forall p (box p -> p)",
+        "box (box (forall p (box p | box (box p -> box bot)) -> box bot) -> box bot)",  # ~~QEM embedded
+    ],
+}
+
+
+def tree_searches(plan):
+    """Per (mode, bound) of the plan, each formula's countermodel dumped, or None."""
+    steps = []
+    for mode, cap in plan:
+        outcomes = [bounded_validity(parse_formula(text, mode), SearchBounds(cap, "finite-trees"), mode)
+                    for text in TABLE_FORMULAS[mode]]
+        steps.append([o.countermodel and dump_model(o.countermodel) for o in outcomes])
+    return steps
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    monkeypatch.setattr(search, "_shape_cache", {})
+    monkeypatch.setattr(search, "_shape_data", [])
+
+
+def test_a_later_search_builds_no_forest_and_zips_nothing(monkeypatch):
+    f = parse_formula("~~(forall p (p | ~p))")
+    bounds = SearchBounds(8, "finite-trees")
+    first = bounded_validity(f, bounds)
+    built = []
+    init = Forest.__init__
+    monkeypatch.setattr(Forest, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    monkeypatch.setattr(search, "_shape_upsets", built.append)
+    assert bounded_validity(f, bounds) == first
+    assert bounded_validity(t_embed(f), SearchBounds(6, "finite-trees"), S4).countermodel is None
+    assert built == []
+
+
+def test_interleaved_searches_match_a_fresh_process_in_reverse(fresh_table):
+    forward = tree_searches(TABLE_PLAN)
+    assert len(search._shape_cache[8][1]) == 2
+    dumps = [dump for step in forward for dump in step]
+    assert any(dumps) and None in dumps
+    here = Path(__file__).resolve().parent
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, test_search\n"
+         "plan = [tuple(step) for step in json.loads(sys.argv[1])]\n"
+         "print(json.dumps(test_search.tree_searches(plan)))",
+         json.dumps(TABLE_PLAN[::-1])],
+        env={"PYTHONPATH": f"{here.parent / 'src'}{os.pathsep}{here}"},
+        capture_output=True, text=True, cwd=here, check=True,
+    )
+    assert forward == json.loads(done.stdout)[::-1]
+
+
+def test_countermodel_takes_the_requested_mode_from_a_shared_table(fresh_table):
+    bounds = SearchBounds(4, "finite-trees")
+    for filling, refuted, mode in (("forall p (box p -> p)", "forall p (p | ~p)", INT),
+                                   ("~~(forall p (p | ~p))", "forall p (p -> box p)", S4)):
+        other = S4 if mode == INT else INT
+        assert bounded_validity(parse_formula(filling, other), bounds, other).countermodel is None
+        assert bounded_validity(parse_formula(refuted, mode), bounds, mode).countermodel.mode == mode
+
+
+def test_forest_zips_its_propositions_once_and_drops_their_source(fresh_table):
+    for forest_start, forest in _tree_forests(8):
+        source = weakref.ref(forest._upsets)
+        first = forest.propositions(False)
+        assert source() is None and forest._upsets is None
+        assert forest.propositions(False) == first
+        assert forest.propositions(False) is first
+        # every component meets each of its own upsets
+        models = list(enumerate_trees(8))[forest_start:forest_start + forest.count]
+        for k, m in enumerate(models):
+            local = {p >> k * 8 & m._full for p in first}
+            assert local == set(m._upset_masks())

@@ -12,6 +12,7 @@ from helpers import (
     naive_forces_s4,
     random_formula,
     random_model,
+    with_assignment,
 )
 from qptrees.formula import (
     INT,
@@ -210,7 +211,7 @@ def extension_algebra_checks(m, a, b):
     caps = frozenset(m.worlds)
     cups = frozenset()
     for prop in enumerate_upsets(m):
-        sub = extension_int(m.with_assignment("p", prop), a).worlds
+        sub = extension_int(with_assignment(m, "p", prop), a).worlds
         caps &= sub
         cups |= sub
     assert alls == caps
@@ -307,7 +308,7 @@ def test_fixed_quantifiers_enumerate_no_propositions(monkeypatch):
     monkeypatch.setattr(Model, "_subset_masks", spy)
     # S4 subsets are laid out by the forest itself, without the model
     monkeypatch.setattr(Forest, "propositions", spy)
-    m = tree_with_two_branches().with_assignment("q", [(0, 0)])
+    m = with_assignment(tree_with_two_branches(), "q", [(0, 0)])
     fixed = parse_formula("forall p (p -> q) | exists p ~~p | ~forall p p")
     mixed = parse_formula("forall p (p | ~p)")
     assert extension_int(m, fixed).worlds == frozenset(m.worlds)
