@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .formula import parse_formula, print_formula
-from .godel import godel_eval, parse_truth_values, refuting_valuation
+from .godel import godel_eval, parse_truth_value, parse_truth_values, refuting_valuation
 from .kripke import ModelFormatError, dump_model, load_model, tree_world
 from .embedding import t_embed
 from .mso import LogicClass, emit, validity_sentence
@@ -91,10 +91,12 @@ def _cmd_embed(ns) -> tuple[int, list[str]]:
 def _parse_valuation(text: str) -> dict:
     valuation = {}
     for part in text.split(","):
-        name, sep, value = part.partition("=")
-        if not sep:
+        name, sep, value = (s.strip() for s in part.partition("="))
+        if not sep or not name:
             raise ValueError(f"valuation entries look like p=1/2, got {part!r}")
-        valuation[name.strip()] = value.strip()
+        if name in valuation:
+            raise ValueError(f"{name!r} is valued twice")
+        valuation[name] = parse_truth_value(value)
     return valuation
 
 

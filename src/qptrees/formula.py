@@ -146,11 +146,17 @@ class NodeTable:
     """A formula compiled once into an interned, integer-indexed node table.
 
     Nodes are listed in post-order, so children come before their parents
-    and the root is the last node.  Structurally equal subformulas share one
-    id.  For node `i`, `ops[i]` is its op code and `args[i]` its operands:
-    the name for VAR, `()` for BOT, `(left, right)` for AND, OR and IMPLIES,
-    `(name, body)` for FORALL and EXISTS, `(body,)` for BOX and DIA.
-    `free[i]` is the sorted tuple of its free variables.
+    and the root is the last node.  The binder with preorder number k is
+    renamed `f"{var}#{k}"` (no identifier), so no variable is rebound in its
+    own scope, and equal subformulas share one id unless they use a bound
+    variable.  For node `i`, `ops[i]` is its op code and `args[i]` its
+    operands: the name for VAR, `()` for BOT, `(left, right)` for AND, OR and
+    IMPLIES, `(name, body)` for FORALL and EXISTS, `(body,)` for BOX and DIA.
+    `free` is the sorted tuple of the formula's free variables.
+
+    Each node is in one schedule, in post-order: `top` if it uses no bound
+    variable, else `schedules[i]` of the quantifier `i` binding its innermost
+    one, which for a ranging quantifier ends with its body.
 
     `fixed[i]` is EMPTY or FULL for a FORALL or EXISTS node whose variable
     occurs in its body in one polarity only, or not at all: that one
@@ -162,8 +168,10 @@ class NodeTable:
     formula: Formula
     ops: tuple[int, ...]
     args: tuple
-    free: tuple[tuple[str, ...], ...]
+    free: tuple[str, ...]
     fixed: tuple[str | None, ...]
+    top: tuple[int, ...]
+    schedules: tuple[tuple[int, ...], ...]
 
     @property
     def root(self) -> int:
@@ -184,74 +192,90 @@ class NodeTable:
 def compile_formula(f: Formula) -> NodeTable:
     """Compile `f` into its node table; iterative, so any depth is fine.
 
-    Alongside the free variables it tracks, per node, the free variables
-    with a positive and those with a negative occurrence: `->` flips the
-    polarity of its left side, every other connective keeps it, and a
-    quantifier drops its own variable.  Raises TypeError if the tree holds
-    something that is not a formula node.
+    It tracks, per node, the bound variables with a positive and those with
+    a negative occurrence, one bit per binder depth, so the highest bit is the
+    innermost binder: `->` flips the polarity of its left side, every other
+    connective keeps it, and a quantifier drops its own bit.  Raises TypeError
+    if the tree holds something that is not a formula node.
     """
-    preorder, stack = [], [f]
+    preorder, stack, depth = [], [f], 0
+    scope, leave = {}, object()  # variable -> (new name, depth bit) of its binder, or None
     while stack:
         node = stack.pop()
+        if node is leave:  # the end of a binder's scope; below it, what it hid
+            var, outer = stack.pop()
+            scope[var] = outer
+            depth -= 1
+            continue
         op = _OPS.get(type(node))
         if op is None:
             raise TypeError(f"not a formula node: {node!r}")
-        preorder.append((node, op))
-        if op in (AND, OR, IMPLIES):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif op not in (VAR, BOT):
-            stack.append(node.body)
+        if op == VAR:
+            bound = scope.get(node.name)
+            preorder.append((op, node.name, 0) if bound is None else (op, *bound))
+        elif op in (FORALL, EXISTS):
+            stack += ((node.var, scope.get(node.var)), leave, node.body)
+            scope[node.var] = bound = (f"{node.var}#{len(preorder)}", 1 << depth)
+            preorder.append((op, *bound))
+            depth += 1
+        else:
+            preorder.append((op, (), 0))
+            if op in (AND, OR, IMPLIES):
+                stack += (node.left, node.right)
+            elif op != BOT:
+                stack.append(node.body)
     # Reversed, a right-first preorder is a left-first post-order.
     interned: dict[tuple, int] = {}
-    ids: dict[int, int] = {}  # id() of an AST node -> its node id
-    ops, args, free, fixed = [], [], [], []
-    positive, negative = [], []  # per node id: free variables of each polarity
-    no_vars = frozenset()
-    for node, op in reversed(preorder):
+    ids, ops, args, fixed = [], [], [], []
+    positive, negative = [], []  # per node id: bound variables of each polarity
+    schedules, own = {}, []  # depth -> schedule of the binder open there, -1: top
+    for op, name, bit in reversed(preorder):
         fix = None
-        if op == VAR:
-            arg, pos_vars, neg_vars = node.name, frozenset((node.name,)), no_vars
-        elif op == BOT:
-            arg, pos_vars, neg_vars = (), no_vars, no_vars
+        if op in (VAR, BOT):
+            arg, pos, neg = name, bit, 0
         elif op in (AND, OR, IMPLIES):
-            left, right = ids[id(node.left)], ids[id(node.right)]
+            right, left = ids.pop(), ids.pop()
             arg = (left, right)
             if op == IMPLIES:
-                pos_vars = negative[left] | positive[right]
-                neg_vars = positive[left] | negative[right]
+                pos = negative[left] | positive[right]
+                neg = positive[left] | negative[right]
             else:
-                pos_vars = positive[left] | positive[right]
-                neg_vars = negative[left] | negative[right]
+                pos = positive[left] | positive[right]
+                neg = negative[left] | negative[right]
         elif op in (FORALL, EXISTS):
-            body, var = ids[id(node.body)], node.var
-            arg = (var, body)
-            pos_vars, neg_vars = positive[body] - {var}, negative[body] - {var}
-            if var not in negative[body]:
+            body = ids.pop()
+            arg = (name, body)
+            pos, neg = positive[body] & ~bit, negative[body] & ~bit
+            if not negative[body] & bit:
                 fix = EMPTY if op == FORALL else FULL
-            elif var not in positive[body]:
+            elif not positive[body] & bit:
                 fix = FULL if op == FORALL else EMPTY
         else:
-            body = ids[id(node.body)]
-            arg, pos_vars, neg_vars = (body,), positive[body], negative[body]
-        # (op, arg) determines the polarity sets and `fix` as well, so nodes
+            body = ids.pop()
+            arg, pos, neg = (body,), positive[body], negative[body]
+        # (op, arg) determines the polarity masks and `fix` as well, so nodes
         # with equal keys may share an id.
         i = interned.setdefault((op, arg), len(ops))
         if i == len(ops):
             ops.append(op)
             args.append(arg)
-            free.append(tuple(sorted(pos_vars | neg_vars)))
             fixed.append(fix)
-            positive.append(pos_vars)
-            negative.append(neg_vars)
-        ids[id(node)] = i
-    return NodeTable(f, tuple(ops), tuple(args), tuple(free), tuple(fixed))
+            positive.append(pos)
+            negative.append(neg)
+            used = pos | neg
+            schedules.setdefault(used.bit_length() - 1, []).append(i)
+            # a binder's scope, its body, is complete by now
+            own.append(tuple(schedules.pop(bit.bit_length() - 1, ()))
+                       if op in (FORALL, EXISTS) else ())
+        ids.append(i)
+    free = tuple(sorted(a for op, a in zip(ops, args) if op == VAR and "#" not in a))
+    top = tuple(schedules[-1])  # the root, at least
+    return NodeTable(f, tuple(ops), tuple(args), free, tuple(fixed), top, tuple(own))
 
 
 def free_vars(f: Formula) -> frozenset[str]:
     """Free propositional variables of `f`; quantifiers bind."""
-    table = compile_formula(f)
-    return frozenset(table.free[table.root])
+    return frozenset(compile_formula(f).free)
 
 
 def is_modal(f: Formula) -> bool:

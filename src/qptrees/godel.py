@@ -22,6 +22,7 @@ the resulting logic, so no such approximation is done implicitly.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping
@@ -62,13 +63,23 @@ def make_truth_values(values: Iterable) -> TruthValueSet:
     return tuple(vs)
 
 
+# No exponents: a few bytes of one could make Fraction build a huge power of ten.
+_TRUTH_VALUE = re.compile(r"[+-]?(?:\d+(?:/\d+|\.\d*)?|\.\d+)")
+
+
+def parse_truth_value(text: str) -> Fraction:
+    """Parse one rational written as an integer, a/b or a plain decimal."""
+    try:
+        if _TRUTH_VALUE.fullmatch(text.strip()):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # too many digits, a zero denominator
+        pass
+    raise ValueError(f"bad truth value {text.strip()!r}")
+
+
 def parse_truth_values(text: str) -> TruthValueSet:
     """Parse a comma-separated list of rationals such as "0,1/3,1/2,1"."""
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        return make_truth_values(Fraction(p) for p in parts)
-    except ZeroDivisionError:
-        raise ValueError(f"bad truth value in {text!r}") from None
+    return make_truth_values(parse_truth_value(p) for p in text.split(","))
 
 
 def evenly_spaced(k: int) -> TruthValueSet:
@@ -154,7 +165,7 @@ def refuting_valuation(f: Formula, values) -> tuple[dict, Fraction] | None:
     if table.modal:
         raise LanguageError("modal operators have no many-valued reading here")
     vs = make_truth_values(values)
-    names = table.free[table.root]
+    names = table.free
     s = [0] * len(names)
     run = _compile(f, {name: k for k, name in enumerate(names)}, s, len(vs) - 1)
     for choice in product(range(len(vs)), repeat=len(names)):

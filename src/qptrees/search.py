@@ -224,8 +224,8 @@ def enumerate_posets(n: int, mode: str = INT) -> Iterator[Model]:
 # --- the search itself -------------------------------------------------------------
 
 # The most worlds one forest holds; a size class with more is split into
-# consecutive forests.  The evaluator's memo holds a forest-wide mask per
-# assignment, so wider forests cost memory for little speed.  The tree
+# consecutive forests.  A ranging quantifier tries each proposition of a
+# forest's largest component, so the best width needs measuring.  The tree
 # forests of each size and their zipped propositions are kept for the process.
 FOREST_WORLDS = 512
 
@@ -263,7 +263,7 @@ def bounded_validity(f: Formula, bounds: SearchBounds, mode: str = INT) -> Searc
     root lies outside the extension.
     """
     table = compile_formula(f)
-    if table.free[table.root]:
+    if table.free:
         raise OpenFormulaError(
             f"the search needs a closed formula, got {print_formula(f)!r}"
         )

@@ -2,10 +2,10 @@
 
 A formula is first compiled into its interned node table
 (`formula.compile_formula`), and evaluation computes the extension of each
-node bottom-up as a bit vector.  Extensions are memoized under the node id
-plus the masks currently assigned to that node's free variables, so
-quantifier nesting does not re-evaluate closed parts, equal subformulas are
-evaluated once, and no formula is hashed while evaluating.
+node bottom-up as a bit vector into one list indexed by node id.  A
+quantifier assigns each proposition to its renamed-apart variable and
+re-runs only its own schedule, so parts that do not use that variable are
+not re-evaluated in its loop, and no formula is hashed while evaluating.
 
 Evaluation runs on a `kripke.Forest`: structures of one size side by side
 in one bit vector, a single model being a forest of one component.  The
@@ -49,12 +49,11 @@ compile it only once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .formula import (
     AND,
-    BOT,
     BOX,
+    DIA,
     EXISTS,
     FORALL,
     FULL,
@@ -86,81 +85,65 @@ def _compiled(f: Formula | NodeTable) -> NodeTable:
 
 def _extension_mask(forest: Forest, t: NodeTable, s4: bool) -> int:
     val = dict(forest.valuation)
-    for v in t.free[t.root]:
+    for v in t.free:
         if v not in val:
             raise UnboundVariableError(f"no proposition assigned to variable {v!r}")
-    ops, args, fixed = t.ops, t.args, t.fixed
-    # itemgetter(*names)(val) is the memo key part of a node with free
-    # variables: one mask, or a tuple of masks for two or more.
-    getters = [itemgetter(*names) if names else None for names in t.free]
+    ops, args, fixed, schedules = t.ops, t.args, t.fixed, t.schedules
     full, down = forest.full, forest.down
     propositions = forest.propositions(s4) if t.quantified else ()
-    memo = {}
-    unset = object()
+    values = [0] * len(ops)  # the extension of each node; BOT's stays 0
 
-    def ext(i: int) -> int:
-        op = ops[i]
-        if op == VAR:
-            return val[args[i]]
-        if op == BOT:
-            return 0
-        get = getters[i]
-        key = i if get is None else (i, get(val))
-        result = memo.get(key)
-        if result is not None:
-            return result
-        a = args[i]
-        if op == AND:
-            result = ext(a[0]) & ext(a[1])
-        elif op == OR:
-            result = ext(a[0]) | ext(a[1])
-        elif op == IMPLIES:
-            left = ext(a[0])
-            right = ext(a[1])
-            if s4:
-                result = (full & ~left) | right
-            else:
-                # h is in the extension iff no successor of h satisfies the
-                # antecedent without the consequent.
-                result = full & ~down(left & ~right)
-        elif op == FORALL or op == EXISTS:
-            p, body = a
-            saved = val.get(p, unset)
-            fix = fixed[i]
-            if fix is not None:
-                val[p] = full if fix == FULL else 0
-                result = ext(body)
-            elif op == FORALL:
-                result = full
-                for mask in propositions:
-                    val[p] = mask
-                    result &= ext(body)
-                    if not result:
-                        break
-            else:
-                result = 0
-                for mask in propositions:
-                    val[p] = mask
-                    result |= ext(body)
-                    if result == full:
-                        break
-            if saved is unset:
-                del val[p]
-            else:
-                val[p] = saved
-        elif op == BOX:
-            result = full & ~down(full & ~ext(a[0]))
-        else:
-            result = down(ext(a[0]))
-        memo[key] = result
-        return result
+    def run(schedule):
+        for i in schedule:
+            op = ops[i]
+            if op == VAR:
+                values[i] = val[args[i]]
+            elif op == AND:
+                a, b = args[i]
+                values[i] = values[a] & values[b]
+            elif op == OR:
+                a, b = args[i]
+                values[i] = values[a] | values[b]
+            elif op == IMPLIES:
+                a, b = args[i]
+                if s4:
+                    values[i] = (full & ~values[a]) | values[b]
+                else:
+                    # h is in the extension iff no successor of h satisfies
+                    # the antecedent without the consequent.
+                    values[i] = full & ~down(values[a] & ~values[b])
+            elif op == FORALL or op == EXISTS:
+                p, body = args[i]
+                tried = propositions if fixed[i] is None else (full if fixed[i] == FULL else 0,)
+                if op == FORALL:
+                    result = full
+                    for mask in tried:
+                        val[p] = mask
+                        run(schedules[i])
+                        result &= values[body]
+                        if not result:
+                            break
+                else:
+                    result = 0
+                    for mask in tried:
+                        val[p] = mask
+                        run(schedules[i])
+                        result |= values[body]
+                        if result == full:
+                            break
+                values[i] = result
+            elif op == BOX:
+                values[i] = full & ~down(full & ~values[args[i][0]])
+            elif op == DIA:
+                values[i] = down(values[args[i][0]])
 
     try:
-        return ext(t.root)
+        run(t.top)
+        return values[t.root]
     finally:
-        # `ext` refers to itself through its closure; break that cycle so
-        # the memo is freed now rather than by the cyclic collector.
-        ext = None
+        # `run` refers to itself through its closure; break that cycle so
+        # the value list is freed now rather than by the cyclic collector.
+        run = None
 
 
 def forest_extension(forest: Forest, f: Formula | NodeTable, mode: str) -> int:

@@ -169,6 +169,28 @@ def test_godel_refutation(capsys):
     assert "VALUE: 1/2" in out
 
 
+@pytest.mark.parametrize("values, valuation, message", [
+    ("0,1/2,1", "p=1/0", "bad truth value '1/0'"),
+    ("0,1/0,1", None, "bad truth value '1/0'"),
+    ("0,abc,1", None, "bad truth value 'abc'"),
+    ("0,1/2,1", "p=abc", "bad truth value 'abc'"),
+    ("0,1e-1000000,1", None, "bad truth value '1e-1000000'"),
+    ("0,1/2,1", "p=5e-1", "bad truth value '5e-1'"),
+    ("0,1/2,1", "p=1/2,p=0", "'p' is valued twice"),
+    ("0,1/2,1", "=1/2", "valuation entries look like p=1/2, got '=1/2'"),
+])
+def test_godel_bad_values_exit_2(values, valuation, message, capsys):
+    argv = ["godel", "--formula", "p | ~p", "--values", values]
+    assert run(argv + (["--valuation", valuation] if valuation else [])) == 2
+    assert capsys.readouterr().out == f"ERROR: {message}\n"
+
+
+def test_godel_accepts_decimals(capsys):
+    code = run(["godel", "--formula", "p | ~p", "--values", "0, .5,1", "--valuation", "p=0.50"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["VALUES: 0,1/2,1", "VALUE: 1/2"]
+
+
 def test_examples_suite(capsys):
     code = run(["examples"])
     out = capsys.readouterr().out

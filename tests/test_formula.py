@@ -5,6 +5,7 @@ import pytest
 from helpers import random_formula
 from qptrees.formula import (
     AND,
+    BOT,
     EMPTY,
     EXISTS,
     FORALL,
@@ -207,11 +208,71 @@ def test_compile_interns_equal_subformulas():
 
 def test_compile_free_variable_tuples():
     t = compile_formula(parse_formula("forall p (r & (q | p) & exists p ~p)"))
-    assert t.free[t.root] == ("q", "r")
+    assert t.free == ("q", "r")
     assert t.ops[t.root] == FORALL
-    for i, op in enumerate(t.ops):
-        assert t.free[i] == tuple(sorted(t.free[i]))
-    assert {t.free[i] for i, op in enumerate(t.ops) if op == OR} == {("p", "q")}
+    # binders are renamed apart by their preorder numbers; free names stay
+    assert [a[0] for op, a in zip(t.ops, t.args) if op in (FORALL, EXISTS)] == ["p#2", "p#0"]
+    assert {a for op, a in zip(t.ops, t.args) if op == VAR} == {"r", "q", "p#0", "p#2"}
+
+
+def naive_free(f):
+    if isinstance(f, Var):
+        return {f.name}
+    if isinstance(f, (Forall, Exists)):
+        return naive_free(f.body) - {f.var}
+    return set().union(*(naive_free(c) for c in vars(f).values()))
+
+
+def binder_number(name):
+    return int(name.partition("#")[2])
+
+
+def test_compile_renames_binders_apart():
+    rng = random.Random(47)
+    for _ in range(200):
+        f = random_formula(rng, 5, lang=S4)
+        t = compile_formula(f)
+        assert t.free == tuple(sorted(naive_free(f)))
+        binders = [a[0] for op, a in zip(t.ops, t.args) if op in (FORALL, EXISTS)]
+        assert len(set(map(binder_number, binders))) == len(binders)
+        names = {a for op, a in zip(t.ops, t.args) if op == VAR}
+        assert {n for n in names if "#" not in n} == set(t.free)
+        assert {n for n in names if "#" in n} <= set(binders)
+
+
+def test_compile_schedules_partition_the_nodes():
+    rng = random.Random(53)
+    for _ in range(200):
+        t = compile_formula(random_formula(rng, 5, lang=S4))
+        binder = {a[0]: i for i, (op, a) in enumerate(zip(t.ops, t.args)) if op in (FORALL, EXISTS)}
+        uses = []  # the bound variables each node uses
+        for i, (op, a) in enumerate(zip(t.ops, t.args)):
+            if op == VAR:
+                uses.append({a} & binder.keys())
+            elif op in (FORALL, EXISTS):
+                uses.append(uses[a[1]] - {a[0]})
+            else:
+                uses.append(set().union(*(uses[c] for c in a)))
+        schedules = [t.top] + [t.schedules[i] for i in binder.values()]
+        assert sorted(i for s in schedules for i in s) == list(range(len(t.ops)))
+        assert all(list(s) == sorted(s) for s in schedules)
+        assert not any(t.schedules[i] for i in range(len(t.ops)) if i not in binder.values())
+        for i, used in enumerate(uses):
+            innermost = max(used, key=binder_number, default=None)
+            assert i in (t.top if innermost is None else t.schedules[binder[innermost]])
+        for i in binder.values():
+            if t.fixed[i] is None:
+                assert t.schedules[i][-1] == t.args[i][1]
+
+
+def test_compile_hoists_closed_quantifiers_to_the_top_schedule():
+    t = compile_formula(parse_formula("forall p (p | ~p | forall q (q | ~q))"))
+    assert [t.ops[i] for i in t.top] == [BOT, FORALL, FORALL]
+    inner, outer = t.top[1:]
+    assert t.args[inner][0] == "q#2" and t.args[outer][0] == "p#0"
+    assert inner not in t.schedules[outer]
+    assert t.schedules[outer][-1] == t.args[outer][1]
+    assert [t.args[i] for i in t.schedules[inner] if t.ops[i] == VAR] == ["q#2"]
 
 
 def test_compile_rejects_non_formula_nodes():

@@ -17,14 +17,17 @@ from helpers import (
 from qptrees.formula import (
     INT,
     S4,
+    Bottom,
     Box,
     Diamond,
     Exists,
     Forall,
+    Implies,
     LanguageError,
     UnboundVariableError,
     Var,
     compile_formula,
+    neg,
     parse_formula,
 )
 from qptrees.kripke import Forest, Model, chain, enumerate_subsets, enumerate_upsets, upward_closure
@@ -35,7 +38,7 @@ from qptrees.semantics import (
     forces_s4,
     validates,
 )
-from qptrees.search import SearchBounds, bounded_validity
+from qptrees.search import SearchBounds, bounded_validity, enumerate_trees
 from qptrees.suite import QEM, WEM_TO_LIN, diamond_model
 
 
@@ -298,6 +301,60 @@ def test_compiled_evaluator_agrees_with_oracle_int():
 
 def test_compiled_evaluator_agrees_with_oracle_s4():
     check_against_oracle(S4, 20260202)
+
+
+SHADOWING = "exists p forall r (forall p ((p | ~p) | r) & ~p)"
+
+
+def test_shadowed_binder_is_not_read_stale():
+    f = parse_formula(SHADOWING)
+    fork = Model.tree([(), (0,), (1,)], {})
+    assert extension_int(fork, f).worlds == {(0,), (1,)}
+    for n in range(1, 5):
+        for m in enumerate_trees(n):
+            ext = extension_int(m, f).worlds
+            assert all((h in ext) == naive_forces_int(m, h, f) for h in m.worlds), m
+
+
+def shadowed(f, bound=frozenset()):
+    """Does a quantifier in `f` rebind a variable inside its own scope?"""
+    if isinstance(f, (Forall, Exists)):
+        return f.var in bound or shadowed(f.body, bound | {f.var})
+    return any(shadowed(c, bound) for c in vars(f).values() if not isinstance(c, str))
+
+
+@pytest.mark.parametrize("mode, max_worlds, seed", [(INT, 5, 20261018), (S4, 4, 20261019)])
+def test_shadowed_binders_agree_with_oracle(mode, max_worlds, seed):
+    extension, naive = (extension_int, naive_forces_int) if mode == INT else (
+        extension_s4, naive_forces_s4)
+    rng = random.Random(seed)
+    cases = 0
+    while cases < 500:
+        f = random_formula(rng, 5, lang=mode, quantifiers=3)
+        if not shadowed(f):
+            continue
+        m = random_model(rng, max_worlds, mode)
+        ext = extension(m, f).worlds
+        for h in m.worlds:
+            assert (h in ext) == naive(m, h, f), (m, f, h)
+        cases += 1
+
+
+def test_deep_formulas_evaluate():
+    m = Model.tree([(), (0,)], {"p": [(0,)]})
+    f = Bottom()
+    for _ in range(5000):
+        f = neg(f)
+    assert extension_int(m, f).worlds == frozenset()
+    f = Var("p")
+    for i in range(5000):  # 2500 negations between vacuous quantifiers
+        f = Forall("q", f) if i % 2 else neg(f)
+    assert extension_int(m, f).worlds == extension_int(m, neg(neg(Var("p")))).worlds
+    f = Var("p")
+    for i in range(3000):
+        f = Forall(f"q{i}", Implies(Var(f"q{i}"), f))
+    assert extension_int(m, f).worlds == {(0,)}
+    assert extension_s4(m.with_mode(S4), f).worlds == {(0,)}
 
 
 def test_fixed_quantifiers_enumerate_no_propositions(monkeypatch):
