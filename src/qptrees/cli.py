@@ -178,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", help="re-run the packaged separation suite")
     p.set_defaults(func=_cmd_examples)
 
+    parser.commands = sub.choices  # name -> the command's own parser
     return parser
 
 
@@ -189,7 +190,15 @@ def run(argv) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        ns = _parser.parse_args(argv)
+        # A known command's arguments go straight to its own parser, read
+        # once; leftovers get the top-level usage line, as argparse gives it.
+        command = _parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            ns = _parser.parse_args(argv)
+        else:
+            ns, extra = command.parse_known_args(argv[1:])
+            if extra:
+                _parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     # A command returns all its lines before any is printed, so a failure

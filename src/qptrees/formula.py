@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 
 INT = "int"
@@ -180,13 +179,6 @@ class NodeTable:
     @property
     def modal(self) -> bool:
         return BOX in self.ops or DIA in self.ops
-
-    @cached_property
-    def quantified(self) -> bool:
-        """True if some quantifier ranges over all propositions."""
-        return any(
-            fix is None and op in (FORALL, EXISTS) for op, fix in zip(self.ops, self.fixed)
-        )
 
 
 def compile_formula(f: Formula) -> NodeTable:

@@ -54,8 +54,8 @@ TruthValueSet = tuple  # strictly sorted tuple of Fractions with 0 and 1
 
 
 def make_truth_values(values: Iterable) -> TruthValueSet:
-    """Validate and sort a finite truth-value set."""
-    vs = sorted({Fraction(v) for v in values})
+    """Validate and sort a finite truth-value set; strings go through `parse_truth_value`."""
+    vs = sorted({parse_truth_value(v) if isinstance(v, str) else Fraction(v) for v in values})
     if any(v < 0 or v > 1 for v in vs):
         raise ValueError("truth values must lie in [0, 1]")
     if not vs or vs[0] != 0 or vs[-1] != 1:
@@ -136,8 +136,8 @@ def _compile(f: Formula, scope: dict, s: list, top: int):
 def godel_eval(valuation: Mapping[str, object], f: Formula, values) -> Fraction:
     """The exact truth value of `f` under `valuation` over the set `values`.
 
-    All images of the valuation must belong to the truth-value set; free
-    variables of `f` must be covered.
+    All images of the valuation, strings read by `parse_truth_value`, must
+    belong to the truth-value set; free variables of `f` must be covered.
     """
     if is_modal(f):
         raise LanguageError("modal operators have no many-valued reading here")
@@ -145,7 +145,7 @@ def godel_eval(valuation: Mapping[str, object], f: Formula, values) -> Fraction:
     rank = {v: i for i, v in enumerate(vs)}
     scope, s = {}, []
     for name, w in valuation.items():
-        x = Fraction(w)
+        x = parse_truth_value(w) if isinstance(w, str) else Fraction(w)
         if x not in rank:
             raise ValueError(f"valuation of {name!r} is {x}, not a truth value")
         scope[name] = len(s)

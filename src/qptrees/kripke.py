@@ -19,7 +19,7 @@ equal lists, so forests are safe to share as well.
 from __future__ import annotations
 
 import json
-from itertools import combinations, cycle, repeat
+from itertools import accumulate, combinations, cycle, product, repeat, zip_longest
 from operator import lshift, or_
 from typing import Callable, Iterable, Iterator
 
@@ -341,12 +341,12 @@ def chain(n: int, mode: str = INT) -> Model:
 
 
 class Forest:
-    """Rooted structures of `size` worlds each, side by side as one bit vector.
+    """Rooted structures side by side as one bit vector.
 
-    Component i of the `count` components holds the worlds ``i * size`` to
-    ``(i + 1) * size - 1``, in the order of its own worlds, and `starts` has
-    a bit at each component's first world.  The order is kept as offset
-    masks: `ahead` pairs each d > 0 with the worlds v whose world v - d is a
+    Component i holds `sizes[i]` worlds, in the order of its own worlds,
+    right after the worlds of component i - 1, and `starts` has a bit at
+    each component's first world.  The order is kept as offset masks:
+    `ahead` pairs each d > 0 with the worlds v whose world v - d is a
     strict predecessor of v, `behind` each d > 0 with the worlds v whose
     world v + d is one.  So `down` costs two operations per offset however
     many components there are.  A single model is a forest of one
@@ -359,37 +359,37 @@ class Forest:
     """
 
     __slots__ = (
-        "size", "count", "full", "starts", "ahead", "behind", "valuation",
-        "_upsets", "_zipped",
+        "sizes", "full", "starts", "ahead", "behind", "valuation",
+        "_upsets", "_zipped", "_subsets",
     )
 
-    def __init__(self, size: int, parts, upsets: Callable[[], list], valuation=None):
-        # `parts` lists each component's `ahead` and `behind` masks, local
-        # to it and indexed by offset (see `Model._offset_masks`).
+    def __init__(self, parts, upsets: Callable[[], list], valuation=None):
+        # `parts` lists each component's size, `ahead` and `behind` masks,
+        # local to it and indexed by offset (see `Model._offset_masks`).
         # Components own disjoint bits, so placing them side by side is a
         # sum of shifts.
-        self.size = size
-        self.count = len(parts)
-        self.full = (1 << size * self.count) - 1
-        offsets = range(0, size * self.count, size)
-        ahead, behind = zip(*parts)
-        self.starts = sum(map(lshift, repeat(1, self.count), offsets))
+        self.sizes, ahead, behind = zip(*parts)
+        offsets = list(accumulate(self.sizes, initial=0))
+        self.full = (1 << offsets.pop()) - 1
+        self.starts = sum(map(lshift, repeat(1), offsets))
         self.ahead = _stacked(ahead, offsets)
         self.behind = _stacked(behind, offsets)
         self._upsets = upsets
         self.valuation = valuation or {}
+        one_size = len(set(self.sizes)) == 1  # then subset k is k * starts
+        self._subsets = range(0, self.starts << self.sizes[0], self.starts) if one_size else None
 
     @classmethod
     def of(cls, models) -> "Forest":
-        """The models, all of one size, side by side in the given order."""
-        size = len(models[0].worlds)
+        """The models side by side in the given order."""
+        offsets = list(accumulate((len(m.worlds) for m in models), initial=0))
         shared = set.intersection(*(set(m._val_masks) for m in models))
         valuation = {
-            var: sum(m._val_masks[var] << i * size for i, m in enumerate(models))
+            var: sum(m._val_masks[var] << offset for m, offset in zip(models, offsets))
             for var in shared
         }
-        parts = [m._offset_masks() for m in models]
-        return cls(size, parts, lambda: [m._upset_masks() for m in models], valuation)
+        parts = [(len(m.worlds), *m._offset_masks()) for m in models]
+        return cls(parts, lambda: [m._upset_masks() for m in models], valuation)
 
     def down(self, x: int) -> int:
         """The worlds that lie below or at some world of `x`."""
@@ -405,25 +405,33 @@ class Forest:
 
         Proposition k is the union over the components of each one's
         proposition k mod (its number of propositions), so every component
-        meets each of its own propositions at least once.  In S4 mode every
-        component has the 2**size subsets, and proposition k is k placed
-        in each component: k * starts.
+        meets each of its own propositions at least once.  In S4 mode a
+        component of n worlds has the 2**n subsets in counting order, so
+        proposition k is k mod 2**n in each: k * starts when all have one
+        size.  With several sizes the list is kept while it is no longer
+        than the forest has worlds, else made afresh on each call: chains
+        of 2 to 31 worlds keep no 2**31 masks.
         """
         if s4:
-            return range(0, self.starts << self.size, self.starts)
+            if self._subsets is not None:
+                return self._subsets
+            # bit j of k, in every component of more than j worlds
+            offsets = list(accumulate(self.sizes, initial=0))
+            bits = [sum(1 << o + j for o, n in zip(offsets, self.sizes) if n > j)
+                    for j in range(max(self.sizes))]
+            subsets = map(sum, product(*((0, bit) for bit in reversed(bits))))
+            if 1 << len(bits) <= offsets[-1]:
+                subsets = self._subsets = list(subsets)
+            return subsets
         upsets = self._upsets
         if upsets is None:
             return self._zipped
         # Components with as many upsets as each other are merged first,
         # then each merged list is repeated up to the longest one.
         tiles = {}
-        for i, ups in enumerate(upsets()):
-            offset = i * self.size
-            tile = tiles.get(len(ups))
-            if tile is None:
-                tiles[len(ups)] = [u << offset for u in ups]
-            else:
-                tiles[len(ups)] = [t | u << offset for t, u in zip(tile, ups)]
+        for offset, ups in zip(accumulate(self.sizes, initial=0), upsets()):
+            tile = tiles.get(len(ups)) or [0] * len(ups)
+            tiles[len(ups)] = [t | u << offset for t, u in zip(tile, ups)]
         zipped = [0] * max(tiles)
         for tile in tiles.values():
             zipped = list(map(or_, zipped, cycle(tile)))
@@ -433,7 +441,7 @@ class Forest:
 
 def _stacked(masks, offsets) -> tuple:
     """(d, mask) for each offset d at which some component has a mask."""
-    columns = (sum(map(lshift, column, offsets)) for column in zip(*masks))
+    columns = (sum(map(lshift, column, offsets)) for column in zip_longest(*masks, fillvalue=0))
     return tuple((d, mask) for d, mask in enumerate(columns) if mask)
 
 

@@ -61,10 +61,12 @@ class SearchOutcome:
 # ascending, so equal shapes are exactly the isomorphic trees.
 
 # Shapes by size: one entry per size already searched, holding its shapes
-# and, once its trees were searched, their forests (see `_tree_forests`).
+# and, once trees were searched up to that size, the forests of that bound
+# (see `_tree_forests`); a forest in the layouts of two bounds is kept once.
 # After one search of `forall p (p -> p)` up to 11, 12 or 13 worlds, both
 # shape tables hold about 3, 10 or 36 MiB (tracemalloc, CPython 3.11), of
-# which the forests are 1.5, 5.8 or 23 MiB.
+# which the forests are 1.5, 5.8 or 23 MiB.  Each further bound below 7
+# adds one forest of at most 189 worlds.
 _shape_cache: dict[int, list] = {}
 
 # Per-shape data beside `_shape_cache`: `_shape_data[i]` is (size, child
@@ -223,44 +225,70 @@ def enumerate_posets(n: int, mode: str = INT) -> Iterator[Model]:
 
 # --- the search itself -------------------------------------------------------------
 
-# The most worlds one forest holds; a size class with more is split into
-# consecutive forests.  A ranging quantifier tries each proposition of a
-# forest's largest component, so the best width needs measuring.  The tree
-# forests of each size and their zipped propositions are kept for the process.
+# The most worlds one forest holds.  A ranging quantifier tries each
+# proposition of its largest component, so the best width needs measuring;
+# tree forests and their zipped propositions are kept for the process.
 FOREST_WORLDS = 512
 
 
-def _tree_forests(n: int) -> list:
-    """(start, forest) for the trees of `n` worlds, in order, where `start`
-    indexes the forest's first shape in `_shapes(n)`; built once, then kept."""
-    ids = _shape_ids(n)
-    entry = _shape_cache[n]
+def _layout(counts) -> list[range]:
+    """One index range per forest into structures listed by size, where
+    `counts[n - 1]` structures have n worlds.  The one-world structure goes
+    alone; then whole size classes share a forest while their worlds fit in
+    FOREST_WORLDS, and a class with more is split into forests of
+    FOREST_WORLDS // n structures.  So each forest is a union of
+    consecutive one-size forests and runs no more quantifier bodies."""
+    runs, start, room = [], 0, 0  # room: worlds still free in the last forest
+    for n, count in enumerate(counts, 1):
+        worlds = n * count
+        if worlds <= room:
+            runs[-1] = range(runs[-1].start, start + count)
+            room -= worlds
+        else:
+            per = max(1, FOREST_WORLDS // n)
+            runs += [range(s, min(s + per, start + count)) for s in range(start, start + count, per)]
+            room = FOREST_WORLDS - worlds if 1 < n and worlds <= FOREST_WORLDS else 0
+        start += count
+    return runs
+
+
+def _tree_forests(bound: int) -> list:
+    """(ids, forest) for the trees of up to `bound` worlds, in order, where
+    `ids` is the range of the forest's shape ids; built once per bound,
+    sharing the forests that an earlier bound's layout already has."""
+    _shape_ids(bound)
+    entry = _shape_cache[bound]
     if entry[1] is None:
-        per = max(1, FOREST_WORLDS // n)
+        built = {ids: forest for e in _shape_cache.values() if e[1] for ids, forest in e[1]}
         entry[1] = [
-            (start, Forest(n, [(_shape_data[i][2], ()) for i in chunk],
-                           lambda chunk=chunk: list(map(_shape_upsets, chunk))))
-            for start in range(0, len(ids), per)
-            for chunk in [ids[start:start + per]]
+            (ids, built.get(ids) or Forest(
+                [(_shape_data[i][0], _shape_data[i][2], ()) for i in ids],
+                lambda ids=ids: list(map(_shape_upsets, ids))))
+            for ids in _layout([len(_shapes(n)) for n in range(1, bound + 1)])
         ]
     return entry[1]
 
 
-def _model_forests(models: list, n: int):
-    """(start, forest) for the given models of `n` worlds, in order."""
-    per = max(1, FOREST_WORLDS // n)
-    for start in range(0, len(models), per):
-        yield start, Forest.of(models[start:start + per])
+def _model_forests(bound: int, structures):
+    """(models, forest) for the structures of up to `bound` worlds, in order,
+    where `structures(n)` lists those of n worlds; none above one world is
+    enumerated before the one-world forest is evaluated."""
+    classes = [list(structures(1))]
+    yield classes[0], Forest.of(classes[0])
+    classes += [list(structures(n)) for n in range(2, bound + 1)]
+    models = [m for c in classes for m in c]
+    for ids in _layout(list(map(len, classes)))[1:]:
+        yield models[ids.start:ids.stop], Forest.of(models[ids.start:ids.stop])
 
 
 def bounded_validity(f: Formula, bounds: SearchBounds, mode: str = INT) -> SearchOutcome:
     """Search all structures of the bounded class for a countermodel to `f`.
 
     Returns the canonically least countermodel if one exists within the
-    bounds, otherwise records that none was found up to them.  Each size
-    class is evaluated as forests, the disjoint unions of its structures
-    in enumeration order; the countermodel is the first structure whose
-    root lies outside the extension.
+    bounds, otherwise records that none was found up to them.  The
+    structures are evaluated in enumeration order, in the forests that
+    `_layout` lays out; the countermodel is the first structure whose root
+    lies outside the extension.
     """
     table = compile_formula(f)
     if table.free:
@@ -274,17 +302,19 @@ def bounded_validity(f: Formula, bounds: SearchBounds, mode: str = INT) -> Searc
         raise SearchBoundError(
             f"poset search supports at most {POSET_WORLD_CAP} worlds"
         )
-    for n in range(1, bounds.max_worlds + 1):
-        if cls == "finite-trees":
-            forests = _tree_forests(n)
-        else:
-            models = list(enumerate_posets(n, mode)) if cls == "finite-posets" else [chain(n, mode)]
-            forests = _model_forests(models, n)
-        for start, forest in forests:
-            # every enumerated structure lists its root first
-            refuted = forest.starts & ~forest_extension(forest, table, mode)
-            if refuted:
-                k = start + ((refuted & -refuted).bit_length() - 1) // n
-                model = _tree_model(_shapes(n)[k], mode) if cls == "finite-trees" else models[k]
-                return SearchOutcome(model, bounds)
+    if cls == "finite-trees":
+        forests = _tree_forests(bounds.max_worlds)
+    elif cls == "finite-posets":
+        forests = _model_forests(bounds.max_worlds, lambda n: enumerate_posets(n, mode))
+    else:
+        forests = _model_forests(bounds.max_worlds, lambda n: [chain(n, mode)])
+    for items, forest in forests:
+        # every enumerated structure lists its root first
+        refuted = forest.starts & ~forest_extension(forest, table, mode)
+        if refuted:
+            item = items[(forest.starts & ((refuted & -refuted) - 1)).bit_count()]
+            if cls == "finite-trees":  # a shape id
+                n = _shape_data[item][0]
+                item = _tree_model(_shapes(n)[item - _shape_ids(n).start], mode)
+            return SearchOutcome(item, bounds)
     return SearchOutcome(None, bounds)

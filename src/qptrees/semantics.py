@@ -7,12 +7,12 @@ quantifier assigns each proposition to its renamed-apart variable and
 re-runs only its own schedule, so parts that do not use that variable are
 not re-evaluated in its loop, and no formula is hashed while evaluating.
 
-Evaluation runs on a `kripke.Forest`: structures of one size side by side
-in one bit vector, a single model being a forest of one component.  The
+Evaluation runs on a `kripke.Forest`: rooted structures side by side in
+one bit vector, a single model being a forest of one component.  The
 order enters only through `Forest.down`, the worlds with a successor in a
 set, which `->` (intuitionistic), `box` and `dia` need.  So one evaluation
-decides a closed formula on every structure of a size class at once; that
-is how `search` uses it.
+decides a closed formula on every structure of a forest at once, whatever
+their sizes; that is how `search` uses it.
 
 Propositional quantifiers range over all upward-closed subsets of the
 worlds in intuitionistic mode, over all subsets in S4 mode; the empty and
@@ -21,13 +21,14 @@ zipped propositions of `Forest.propositions`: proposition k is the union
 of proposition k mod |U_i| of each component i, where U_i lists that
 component's own propositions.  That is exact, by locality.  Truth at a
 world depends only on the worlds above it and the valuation there, and a
-world's successors all lie in its own component; so each clause computes,
-on component i, what it would compute on structure i alone with every
-variable assigned its trace there.  The trace of proposition k on
-component i is U_i[k mod |U_i|], and as k runs through all the zipped
-propositions that runs through all of U_i, repeats aside, which change no
-intersection and no union.  By induction, the slice of every extension on
-component i is the extension on structure i alone.
+world's successors all lie in its own component, one run of bits whatever
+the sizes beside it; so each clause computes, on component i, what it
+would compute on structure i alone with every variable assigned its trace
+there.  The trace of proposition k on component i is U_i[k mod |U_i|], and
+as k runs through all the zipped propositions, as many as the longest U_i,
+that runs through all of U_i, repeats aside, which change no intersection
+and no union.  By induction, the slice of every extension on component i
+is the extension on structure i alone.
 
 A quantifier whose variable occurs in its body in one polarity only, or
 not at all, is decided by the empty or the full proposition: `forall p A`
@@ -39,7 +40,7 @@ variables are monotone; so for a positive-only p, U included in U' gives
 ext(A[p:=U]) included in ext(A[p:=U']), and the intersection over all U,
 the extension of `forall p A`, is ext(A[p:=empty]).  Only the remaining
 quantifiers enumerate propositions; a forest zips its list on the first
-evaluation in which one occurs, and keeps it for later ones.
+evaluation that reaches one, and keeps it for later ones.
 
 Every public function takes either a formula or its compiled node table;
 passing the table lets a caller that evaluates one formula on many models
@@ -90,7 +91,6 @@ def _extension_mask(forest: Forest, t: NodeTable, s4: bool) -> int:
             raise UnboundVariableError(f"no proposition assigned to variable {v!r}")
     ops, args, fixed, schedules = t.ops, t.args, t.fixed, t.schedules
     full, down = forest.full, forest.down
-    propositions = forest.propositions(s4) if t.quantified else ()
     values = [0] * len(ops)  # the extension of each node; BOT's stays 0
 
     def run(schedule):
@@ -114,7 +114,7 @@ def _extension_mask(forest: Forest, t: NodeTable, s4: bool) -> int:
                     values[i] = full & ~down(values[a] & ~values[b])
             elif op == FORALL or op == EXISTS:
                 p, body = args[i]
-                tried = propositions if fixed[i] is None else (full if fixed[i] == FULL else 0,)
+                tried = (full if fixed[i] == FULL else 0,) if fixed[i] else forest.propositions(s4)
                 if op == FORALL:
                     result = full
                     for mask in tried:

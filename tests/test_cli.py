@@ -305,6 +305,54 @@ def test_parser_built_once_gives_fresh_output(diamond_file, capsys, monkeypatch)
     assert cli._parser is parser
 
 
+def run_through_the_top_level(argv):
+    """`cli.run` with every argv read by the top-level parser, which hands a
+    command's arguments on to that command's parser."""
+    try:
+        ns = cli.build_parser().parse_args(argv)
+    except SystemExit as e:
+        return 0 if e.code in (0, None) else 2
+    try:
+        code, lines = ns.func(ns)
+    except (ValueError, OSError) as e:
+        print(f"ERROR: {e}")
+        return 2
+    for line in lines:
+        print(line)
+    return code
+
+
+def test_commands_read_their_arguments_as_the_top_level_parser_would(diamond_file, capsys):
+    decide = ["--class", "chains", "--max", "2"]
+    for argv in (
+        [],
+        ["-h"],
+        ["--help"],
+        ["decide", "-h"],
+        ["check", "--help"],
+        ["decide", "--formula", "bot"],  # missing options
+        ["decide", "--formula", "p", "--formula", "bot"] + decide,  # repeated: the last wins
+        ["decide", "--formula", "bot", "--class", "lattices", "--max", "2"],  # bad choice
+        ["decide", "--formula", "bot", "--class", "chains", "--max", "two"],  # bad int
+        ["decide", "--formula", "bot", "--mode"] + decide,  # an option without its value
+        ["frobnicate", "--formula", "bot"],  # unknown command
+        ["decide", "--formula", "bot"] + decide + ["extra", "--more"],
+        ["embed", "--formula", "p", "q"],
+        ["decide", "--formula=~~(forall p (p | ~p))"] + decide,
+        ["decide", "--form", "bot"] + decide,  # an abbreviation
+        ["decide", "--fo", "bot"] + decide,
+        ["decide", "--formula", "bot", "--"] + decide,
+        ["decide", "--", "--formula", "bot"] + decide,
+        ["decide", "--formula", "bot"] + decide + ["--", "x"],
+        ["--", "decide", "--formula", "bot"] + decide,
+        ["check", "--model", diamond_file, "--formula", WEM_TO_LIN_TEXT, "--world", "a"],
+        ["godel", "--formula", "forall p (p | ~p)", "--values", "0,1/2,1"],
+        ["translate", "--formula", "bot", "--class", "qpHt-fin"],
+    ):
+        expected = (run_through_the_top_level(argv), capsys.readouterr())
+        assert (run(argv), capsys.readouterr()) == expected, argv
+
+
 def test_deep_nesting_is_a_clean_error(capsys):
     deep = "~" * 3000 + "bot"
     for argv in (

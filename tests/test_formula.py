@@ -32,6 +32,8 @@ from qptrees.formula import (
     parse_formula,
     print_formula,
 )
+from qptrees.kripke import Forest, Model
+from qptrees.semantics import extension_int
 
 QEM_TEXT = "forall p (p | ~p)"
 QEM_AST = Forall("p", Or(Var("p"), Implies(Var("p"), Bottom())))
@@ -325,10 +327,16 @@ def test_compile_fixes_one_polarity_quantifiers(text, lang, expected):
     assert fixed_quantifiers(text, lang) == expected
 
 
-def test_compile_quantified_means_some_quantifier_ranges():
-    assert compile_formula(parse_formula("forall p (p | ~p)")).quantified
-    assert compile_formula(parse_formula("p | exists q (q -> q)")).quantified
-    for text in ("p -> q", "forall p (p -> q) | exists q q", "forall p (p & exists p ~p)"):
+def test_compile_quantified_means_some_quantifier_ranges(monkeypatch):
+    # a quantifier ranges over the propositions unless one polarity fixes it
+    asked = []
+    monkeypatch.setattr(Forest, "propositions", lambda self, s4: asked.append(s4) or [0, self.full])
+    m = Model.tree([(), (0,)], {"p": [(0,)], "q": []})
+    for text, ranges in (("forall p (p | ~p)", True), ("p | exists q (q -> q)", True),
+                         ("p -> q", False), ("forall p (p -> q) | exists q q", False),
+                         ("forall p (p & exists p ~p)", False)):
         t = compile_formula(parse_formula(text))
-        assert not t.quantified
         assert all(fix is None for op, fix in zip(t.ops, t.fixed) if op not in (FORALL, EXISTS))
+        asked.clear()
+        extension_int(m, t)
+        assert bool(asked) == ranges, text

@@ -51,6 +51,19 @@ def test_truth_value_set_validation():
         parse_truth_values("0,1/0,1")
 
 
+def test_library_strings_are_read_as_on_the_command_line():
+    values = make_truth_values(["0", " 1/2", 1, Fraction(1, 4), "0.75"])
+    assert values == (0, Fraction(1, 4), HALF, Fraction(3, 4), 1)
+    assert godel_eval({"p": "1/2 "}, Var("p"), values) == HALF
+    # a zero denominator and an exponent are bad values, not a crash or a
+    # power of ten with 20000 digits
+    for text in ("1/0", "1e-20000"):
+        with pytest.raises(ValueError, match="bad truth value"):
+            make_truth_values(["0", text, "1"])
+        with pytest.raises(ValueError, match="bad truth value"):
+            godel_eval({"p": text}, Var("p"), ["0", "1"])
+
+
 def test_evenly_spaced():
     assert evenly_spaced(1) == (0, 1)
     assert evenly_spaced(4) == (0, Fraction(1, 4), HALF, Fraction(3, 4), 1)

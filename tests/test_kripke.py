@@ -286,6 +286,49 @@ def test_offset_masks_give_the_worlds_below():
                 assert forest.down(x) == expected
 
 
+def test_offset_masks_of_components_of_different_sizes():
+    rng = random.Random(7)
+    models = [m for n in range(1, 6) for m in enumerate_trees(n)] + list(enumerate_posets(4))
+    for _ in range(20):
+        picked = rng.sample(models, 6)
+        forest = Forest.of(picked)
+        for _ in range(20):
+            parts = [rng.getrandbits(len(m.worlds)) for m in picked]
+            x = expected = offset = 0
+            for m, part in zip(picked, parts):
+                x |= part << offset
+                expected |= below_by_definition(m, part) << offset
+                offset += len(m.worlds)
+            assert forest.down(x) == expected
+
+
+def test_subsets_of_one_size_stay_a_range():
+    # 2**30 subsets: listing them is out of the question
+    forest = Forest.of([chain(30, "s4")])
+    subsets = forest.propositions(True)
+    assert isinstance(subsets, range) and len(subsets) == 1 << 30 and subsets[-1] == forest.full
+    trees = list(enumerate_trees(4, "s4"))
+    subsets = Forest.of(trees).propositions(True)
+    assert subsets == range(0, Forest.of(trees).starts << 4, Forest.of(trees).starts)
+
+
+def test_subsets_of_different_sizes_are_zipped():
+    def expected(sizes):
+        # subset k of each component is k mod 2**n, placed at its offset
+        offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+        return [sum(k % (1 << n) << o for n, o in zip(sizes, offsets)) for k in range(1 << max(sizes))]
+
+    # no more subsets than worlds: listed once and kept
+    forest = Forest.of([chain(2, "s4"), chain(3, "s4"), chain(3, "s4")])
+    subsets = forest.propositions(True)
+    assert subsets == expected([2, 3, 3]) and forest.propositions(True) is subsets
+    # more: made afresh on each call and never stored
+    forest = Forest.of([chain(2, "s4"), chain(3, "s4"), chain(2, "s4")])
+    assert list(forest.propositions(True)) == list(forest.propositions(True)) == expected([2, 3, 2])
+    forest = Forest.of([chain(n, "s4") for n in range(2, 32)])
+    assert next(iter(forest.propositions(True))) == 0 and forest._subsets is None
+
+
 def test_offset_masks_of_a_long_chain():
     m = chain(1200)
     forest = Forest.of([m])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -17,7 +18,7 @@ from helpers import (
     rooted_tree_count,
 )
 from qptrees.formula import INT, S4, OpenFormulaError, LanguageError, Var, parse_formula
-from qptrees import search
+from qptrees import cli, search
 from qptrees.embedding import t_embed
 from qptrees.kripke import Forest, Model, chain, dump_model
 from qptrees.search import (
@@ -268,22 +269,32 @@ def test_forest_search_matches_a_loop_over_structures():
 
 
 def component_masks(forest, mask):
-    n = forest.size
-    return [mask >> k * n & (1 << n) - 1 for k in range(forest.count)]
+    slices = []
+    for n in forest.sizes:
+        slices.append(mask & (1 << n) - 1)
+        mask >>= n
+    return slices
+
+
+def structures_up_to(cls, bound, mode):
+    if cls == "finite-trees":
+        return [m for n in range(1, bound + 1) for m in enumerate_trees(n, mode)]
+    return [m for n in range(1, bound + 1) for m in enumerate_posets(n, mode)]
 
 
 def check_forest_slices(forests, formulas, mode, enumerated):
     """Each component's slice of the forest extension is the extension on
     that structure alone, and the components are the enumerated structures
-    in order."""
+    in order: tree forests name them by shape id, model forests list them."""
     extension = extension_int if mode == INT else extension_s4
     enumerated = list(enumerated)
     seen = 0
-    for start, forest in forests:
-        assert forest.count * forest.size <= FOREST_WORLDS or forest.count == 1
-        assert start == seen
-        seen += forest.count
-        component = enumerated[start:seen]
+    for items, forest in forests:
+        assert sum(forest.sizes) <= FOREST_WORLDS or len(forest.sizes) == 1
+        component = enumerated[seen:seen + len(items)]
+        assert items == (range(seen, seen + len(items)) if isinstance(items, range) else component)
+        seen += len(items)
+        assert [len(m.worlds) for m in component] == list(forest.sizes)
         assert all(m.worlds[0] == m.root for m in component)
         for f in formulas:
             slices = component_masks(forest, forest_extension(forest, f, mode))
@@ -295,19 +306,16 @@ def check_forest_slices(forests, formulas, mode, enumerated):
 def test_forest_extensions_are_the_extensions_of_their_components():
     int_formulas = [parse_formula(t) for t in ("forall p (p | ~p)", "~~(forall p (p | ~p))",
                                                "forall p (~p | ~~p)", "exists p (p & ~forall q (q | ~q))")]
-    # 115 trees of 8 worlds, 920 worlds: more than one forest
-    forests = _tree_forests(8)
-    assert len(forests) == 2
-    check_forest_slices(forests, int_formulas, INT, enumerate_trees(8))
-    for n in range(1, 7):
-        check_forest_slices(_tree_forests(n), int_formulas, INT, enumerate_trees(n))
+    # the 115 trees of 8 worlds, 920 worlds, are split over two forests
+    for n in range(1, 9):
+        check_forest_slices(_tree_forests(n), int_formulas, INT, structures_up_to("finite-trees", n, INT))
     s4_formulas = [parse_formula(t, S4) for t in FOREST_PINNED_S4 + ["box forall p (p | ~p)"]]
-    for n in range(1, 5):
-        check_forest_slices(_tree_forests(n), s4_formulas, S4, enumerate_trees(n, S4))
+    for n in range(1, 6):
+        check_forest_slices(_tree_forests(n), s4_formulas, S4, structures_up_to("finite-trees", n, S4))
     for n in range(1, 5):
         for mode, formulas in ((INT, int_formulas), (S4, s4_formulas)):
-            posets = list(enumerate_posets(n, mode))
-            check_forest_slices(_model_forests(posets, n), formulas, mode, posets)
+            check_forest_slices(_model_forests(n, lambda k: enumerate_posets(k, mode)), formulas, mode,
+                                structures_up_to("finite-posets", n, mode))
 
 
 def test_forest_of_models_with_valuations():
@@ -317,13 +325,11 @@ def test_forest_of_models_with_valuations():
     for mode in (INT, S4):
         extension = extension_int if mode == INT else extension_s4
         for _ in range(10):
-            models = []
-            while len(models) < 6:
-                make = random_tree_model if rng.random() < 0.5 else random_poset_model
-                m = make(rng, 4, mode, ("p", "q"))
-                if len(m.worlds) == 4:
-                    models.append(m)
+            # sizes differ from component to component
+            models = [(random_tree_model if rng.random() < 0.5 else random_poset_model)(
+                rng, rng.randint(1, 5), mode, ("p", "q")) for _ in range(6)]
             forest = Forest.of(models)
+            assert forest.sizes == tuple(len(m.worlds) for m in models)
             for _ in range(4):
                 f = random_formula(rng, 3, lang=mode, scope=("p", "q"), quantifiers=2)
                 slices = component_masks(forest, forest_extension(forest, f, mode))
@@ -381,7 +387,7 @@ def test_a_later_search_builds_no_forest_and_zips_nothing(monkeypatch):
 
 def test_interleaved_searches_match_a_fresh_process_in_reverse(fresh_table):
     forward = tree_searches(TABLE_PLAN)
-    assert len(search._shape_cache[8][1]) == 2
+    assert [len(ids) for ids, _ in search._shape_cache[8][1]] == [1, 36, 48, 64, 51]
     dumps = [dump for step in forward for dump in step]
     assert any(dumps) and None in dumps
     here = Path(__file__).resolve().parent
@@ -407,14 +413,125 @@ def test_countermodel_takes_the_requested_mode_from_a_shared_table(fresh_table):
 
 
 def test_forest_zips_its_propositions_once_and_drops_their_source(fresh_table):
-    for forest_start, forest in _tree_forests(8):
+    trees = structures_up_to("finite-trees", 8, INT)
+    for ids, forest in _tree_forests(8):
         source = weakref.ref(forest._upsets)
         first = forest.propositions(False)
         assert source() is None and forest._upsets is None
         assert forest.propositions(False) == first
         assert forest.propositions(False) is first
         # every component meets each of its own upsets
-        models = list(enumerate_trees(8))[forest_start:forest_start + forest.count]
-        for k, m in enumerate(models):
-            local = {p >> k * 8 & m._full for p in first}
+        offset = 0
+        for m in trees[ids.start:ids.stop]:
+            local = {p >> offset & m._full for p in first}
             assert local == set(m._upset_masks())
+            offset += len(m.worlds)
+
+
+# --- the layout: one world alone, then whole size classes per forest -----------
+
+
+def tree_layout(bound):
+    """The worlds in each forest of a tree search up to `bound`."""
+    return [sum(forest.sizes) for _, forest in _tree_forests(bound)]
+
+
+def test_layouts_pack_whole_size_classes():
+    assert tree_layout(1) == [1]
+    assert tree_layout(5) == [1, 69]
+    assert tree_layout(7) == [1, 189, 336]
+    assert [sorted(set(forest.sizes)) for _, forest in _tree_forests(7)] == [[1], [2, 3, 4, 5, 6], [7]]
+    assert tree_layout(8) == [1, 189, 336, 512, 408]
+    # 286 trees of 9 worlds in runs of 56, 719 of 10 in runs of 51
+    assert tree_layout(10) == [1, 189, 336, 512, 408] + [504] * 5 + [54] + [510] * 14 + [50]
+
+
+def per_size_layout(bound):
+    """Shape id ranges of forests holding one size class each, split at
+    FOREST_WORLDS // n trees."""
+    runs = []
+    for n in range(1, bound + 1):
+        ids = search._shape_ids(n)
+        per = max(1, FOREST_WORLDS // n)
+        runs += [ids[k:k + per] for k in range(0, len(ids), per)]
+    return runs
+
+
+def upset_counts():
+    """The number of upsets of each shape by id: the whole tree, and one
+    upset of each child subtree."""
+    counts = []
+    for _, children, _ in search._shape_data:
+        counts.append(1 + math.prod(counts[c] for c in children))
+    return counts
+
+
+def test_each_forest_joins_per_size_forests_and_tries_no_more_propositions():
+    for bound in range(1, 11):
+        runs = [ids for ids, _ in _tree_forests(bound)]
+        apart = per_size_layout(bound)
+        assert runs[0] == range(1) and runs[-1].stop == apart[-1].stop
+        assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
+        assert {ids.start for ids in runs} <= {ids.start for ids in apart}
+        # from 7 worlds up, the layout is the per-size one
+        seven = search._shape_ids(7).start if bound >= 7 else runs[-1].stop
+        assert [ids for ids in runs if ids.start >= seven] == [ids for ids in apart if ids.start >= seven]
+        # a ranging quantifier runs K bodies, K the most propositions of a
+        # component; two nested ones run K**2
+        counts, sizes = upset_counts(), [data[0] for data in search._shape_data]
+        for propositions in (lambda i: counts[i], lambda i: 2 ** sizes[i]):
+            def squares(layout):
+                return sum(max(map(propositions, ids)) ** 2 for ids in layout)
+
+            assert squares(runs) <= squares(apart), bound
+
+
+def depth_formula(k):
+    """Refuted at the root of a tree exactly when a chain of k worlds starts there."""
+    text = "forall p1 (p1 | ~p1)"
+    for i in range(2, k):
+        text = f"forall p{i} (p{i} | (p{i} -> {text}))"
+    return text
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The forests the search evaluates, recorded."""
+    forests = []
+
+    def spy(forest, *args):
+        forests.append(forest)
+        return forest_extension(forest, *args)
+
+    monkeypatch.setattr(search, "forest_extension", spy)
+    return forests
+
+
+def test_least_countermodel_inside_the_shared_forest(evaluated):
+    texts = [depth_formula(k) for k in range(2, 7)] + ["forall p forall q ((p -> q) | (q -> p))"]
+    for mode in (INT, S4):
+        sizes = []
+        for text in texts:
+            f = parse_formula(text) if mode == INT else t_embed(parse_formula(text))
+            evaluated.clear()
+            got = bounded_validity(f, SearchBounds(6, "finite-trees"), mode).countermodel
+            assert got == first_countermodel(f, "finite-trees", 6, mode), (mode, text)
+            assert [sum(forest.sizes) for forest in evaluated] == [1, 189]
+            sizes.append(len(got.worlds))
+        assert sizes == [2, 3, 4, 5, 6, 3]
+
+
+def test_decide_up_to_seven_worlds_evaluates_three_forests(evaluated, capsys):
+    for mode, text in (("int", "~~(forall p (p | ~p))"), ("s4", "forall p (box p -> p)")):
+        evaluated.clear()
+        assert cli.run(["decide", "--formula", text, "--class", "finite-trees", "--max", "7",
+                        "--mode", mode]) == 0
+        assert len(evaluated) <= 3
+    assert "OUTCOME: no-counterexample" in capsys.readouterr().out
+
+
+def test_model_forests_pack_posets_and_chains():
+    posets = [[len(m.worlds) for m in models] for models, _ in _model_forests(6, enumerate_posets)]
+    assert posets == [[1], [2] + [3] * 2 + [4] * 5 + [5] * 16 + [6] * 63]
+    chains = [[len(m.worlds) for m in models] for models, _ in _model_forests(40, lambda n: [chain(n)])]
+    assert chains == [[1], list(range(2, 32)), list(range(32, 41))]
