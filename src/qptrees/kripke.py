@@ -11,9 +11,9 @@ Two flavours of structure are supported:
 Worlds are stored sorted (lexicographically for words, string order for
 labels) and propositions are handled internally as bit vectors over that
 ordering, which fixes all enumeration orders.  Models are immutable after
-construction and safe to share between threads.  A forest zips its
-propositions on first use and keeps them; two first uses at once compute
-equal lists, so forests are safe to share as well.
+construction and safe to share between threads.  A forest of structures of
+any sizes zips its propositions on first use and keeps them; two first
+uses at once compute equal lists, so forests are safe to share as well.
 """
 
 from __future__ import annotations
