@@ -190,13 +190,13 @@ def run(argv) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        # A known command's arguments go straight to its own parser, read
-        # once; leftovers get the top-level usage line, as argparse gives it.
+        # A known command's argv goes straight to its own parser, read once,
+        # into the top-level parser's namespace; leftovers get its usage line.
         command = _parser.commands.get(argv[0]) if argv else None
         if command is None:
             ns = _parser.parse_args(argv)
         else:
-            ns, extra = command.parse_known_args(argv[1:])
+            ns, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
             if extra:
                 _parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:

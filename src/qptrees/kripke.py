@@ -19,7 +19,7 @@ uses at once compute equal lists, so forests are safe to share as well.
 from __future__ import annotations
 
 import json
-from itertools import accumulate, combinations, cycle, product, repeat, zip_longest
+from itertools import accumulate, combinations, cycle, repeat, zip_longest
 from operator import lshift, or_
 from typing import Callable, Iterable, Iterator
 
@@ -366,8 +366,7 @@ class Forest:
     def __init__(self, parts, upsets: Callable[[], list], valuation=None):
         # `parts` lists each component's size, `ahead` and `behind` masks,
         # local to it and indexed by offset (see `Model._offset_masks`).
-        # Components own disjoint bits, so placing them side by side is a
-        # sum of shifts.
+        # Components own disjoint bits: side by side is a sum of shifts.
         self.sizes, ahead, behind = zip(*parts)
         offsets = list(accumulate(self.sizes, initial=0))
         self.full = (1 << offsets.pop()) - 1
@@ -406,37 +405,32 @@ class Forest:
         Proposition k is the union over the components of each one's
         proposition k mod (its number of propositions), so every component
         meets each of its own propositions at least once.  In S4 mode a
-        component of n worlds has the 2**n subsets in counting order, so
-        proposition k is k mod 2**n in each: k * starts when all have one
-        size.  With several sizes the list is kept while it is no longer
-        than the forest has worlds, else made afresh on each call: chains
-        of 2 to 31 worlds keep no 2**31 masks.
+        component of n worlds has its 2**n subsets in counting order, so
+        with one size proposition k is k * starts, a `range`; with several,
+        the zip is listed on first use and kept.
         """
         if s4:
-            if self._subsets is not None:
-                return self._subsets
-            # bit j of k, in every component of more than j worlds
-            offsets = list(accumulate(self.sizes, initial=0))
-            bits = [sum(1 << o + j for o, n in zip(offsets, self.sizes) if n > j)
-                    for j in range(max(self.sizes))]
-            subsets = map(sum, product(*((0, bit) for bit in reversed(bits))))
-            if 1 << len(bits) <= offsets[-1]:
-                subsets = self._subsets = list(subsets)
-            return subsets
+            if self._subsets is None:
+                self._subsets = _zip_across(self.sizes, [range(1 << n) for n in self.sizes])
+            return self._subsets
         upsets = self._upsets
-        if upsets is None:
-            return self._zipped
-        # Components with as many upsets as each other are merged first,
-        # then each merged list is repeated up to the longest one.
-        tiles = {}
-        for offset, ups in zip(accumulate(self.sizes, initial=0), upsets()):
-            tile = tiles.get(len(ups)) or [0] * len(ups)
-            tiles[len(ups)] = [t | u << offset for t, u in zip(tile, ups)]
-        zipped = [0] * max(tiles)
-        for tile in tiles.values():
-            zipped = list(map(or_, zipped, cycle(tile)))
-        self._zipped, self._upsets = zipped, None
-        return zipped
+        if upsets is not None:
+            self._zipped, self._upsets = _zip_across(self.sizes, upsets()), None
+        return self._zipped
+
+
+def _zip_across(sizes, propositions) -> list:
+    """Each component's own `propositions`, zipped as `Forest.propositions` says."""
+    # Components with as many propositions as each other are merged first,
+    # then each merged list is repeated up to the longest one.
+    tiles = {}
+    for offset, own in zip(accumulate(sizes, initial=0), propositions):
+        tile = tiles.get(len(own)) or [0] * len(own)
+        tiles[len(own)] = [t | p << offset for t, p in zip(tile, own)]
+    zipped = [0] * max(tiles)
+    for tile in tiles.values():
+        zipped = list(map(or_, zipped, cycle(tile)))
+    return zipped
 
 
 def _stacked(masks, offsets) -> tuple:

@@ -14,6 +14,8 @@ from itertools import permutations
 from typing import Iterator
 
 from .formula import (
+    EXISTS,
+    FORALL,
     INT,
     Formula,
     LanguageError,
@@ -62,11 +64,10 @@ class SearchOutcome:
 
 # Shapes by size: one entry per size already searched, holding its shapes
 # and, once trees were searched up to that size, the forests of that bound
-# (see `_tree_forests`); a forest in the layouts of two bounds is kept once.
+# in each layout (see `_tree_forests`); a forest in two layouts is kept once.
 # After one search of `forall p (p -> p)` up to 11, 12 or 13 worlds, both
 # shape tables hold about 3, 10 or 36 MiB (tracemalloc, CPython 3.11), of
-# which the forests are 1.5, 5.8 or 23 MiB.  Each further bound below 7
-# adds one forest of at most 189 worlds.
+# which the forests are 1.5, 5.8 or 23 MiB; packing adds one, of 189 worlds.
 _shape_cache: dict[int, list] = {}
 
 # Per-shape data beside `_shape_cache`: `_shape_data[i]` is (size, child
@@ -80,7 +81,7 @@ _shape_data: list[tuple] = []
 def _shapes(n: int) -> tuple:
     if n not in _shape_cache:
         shapes = ((),) if n == 1 else tuple(sorted(_forests(n - 1, None)))
-        _shape_cache[n] = [shapes, None]
+        _shape_cache[n] = [shapes, None, None]
     return _shape_cache[n][0]
 
 
@@ -231,13 +232,11 @@ def enumerate_posets(n: int, mode: str = INT) -> Iterator[Model]:
 FOREST_WORLDS = 512
 
 
-def _layout(counts) -> list[range]:
-    """One index range per forest into structures listed by size, where
-    `counts[n - 1]` structures have n worlds.  The one-world structure goes
-    alone; then whole size classes share a forest while their worlds fit in
-    FOREST_WORLDS, and a class with more is split into forests of
-    FOREST_WORLDS // n structures.  So each forest is a union of
-    consecutive one-size forests and runs no more quantifier bodies."""
+def _layout(counts, packed: bool) -> list[range]:
+    """One index range per forest into trees listed by size, where
+    `counts[n - 1]` trees have n worlds: each size class cut into forests
+    of FOREST_WORLDS // n trees, or, if `packed`, whole classes above one
+    world sharing a forest while their worlds fit in FOREST_WORLDS."""
     runs, start, room = [], 0, 0  # room: worlds still free in the last forest
     for n, count in enumerate(counts, 1):
         worlds = n * count
@@ -246,39 +245,37 @@ def _layout(counts) -> list[range]:
             room -= worlds
         else:
             per = max(1, FOREST_WORLDS // n)
-            runs += [range(s, min(s + per, start + count)) for s in range(start, start + count, per)]
-            room = FOREST_WORLDS - worlds if 1 < n and worlds <= FOREST_WORLDS else 0
+            runs += [range(start, start + count)[k:k + per] for k in range(0, count, per)]
+            room = FOREST_WORLDS - worlds if packed and 1 < n and worlds <= FOREST_WORLDS else 0
         start += count
     return runs
 
 
-def _tree_forests(bound: int) -> list:
-    """(ids, forest) for the trees of up to `bound` worlds, in order, where
-    `ids` is the range of the forest's shape ids; built once per bound,
-    sharing the forests that an earlier bound's layout already has."""
+def _tree_forests(bound: int, packed: bool) -> list:
+    """(ids, forest) for the trees of up to `bound` worlds as `_layout` lays
+    them out, `ids` being the forest's shape ids; built once per bound and
+    layout, sharing the forests that another bound or layout already has."""
     _shape_ids(bound)
     entry = _shape_cache[bound]
-    if entry[1] is None:
-        built = {ids: forest for e in _shape_cache.values() if e[1] for ids, forest in e[1]}
-        entry[1] = [
+    if entry[1 + packed] is None:
+        built = {ids: forest for e in _shape_cache.values() for runs in e[1:] for ids, forest in runs or ()}
+        entry[1 + packed] = [
             (ids, built.get(ids) or Forest(
                 [(_shape_data[i][0], _shape_data[i][2], ()) for i in ids],
                 lambda ids=ids: list(map(_shape_upsets, ids))))
-            for ids in _layout([len(_shapes(n)) for n in range(1, bound + 1)])
+            for ids in _layout([len(_shapes(n)) for n in range(1, bound + 1)], packed)
         ]
-    return entry[1]
+    return entry[1 + packed]
 
 
 def _model_forests(bound: int, structures):
     """(models, forest) for the structures of up to `bound` worlds, in order,
-    where `structures(n)` lists those of n worlds; none above one world is
-    enumerated before the one-world forest is evaluated."""
-    classes = [list(structures(1))]
-    yield classes[0], Forest.of(classes[0])
-    classes += [list(structures(n)) for n in range(2, bound + 1)]
-    models = [m for c in classes for m in c]
-    for ids in _layout(list(map(len, classes)))[1:]:
-        yield models[ids.start:ids.stop], Forest.of(models[ids.start:ids.stop])
+    where `structures(n)` lists those of n worlds, one size at a time: a
+    size is enumerated only once the smaller ones are evaluated."""
+    for n in range(1, bound + 1):
+        models, per = list(structures(n)), max(1, FOREST_WORLDS // n)
+        for s in range(0, len(models), per):
+            yield models[s:s + per], Forest.of(models[s:s + per])
 
 
 def bounded_validity(f: Formula, bounds: SearchBounds, mode: str = INT) -> SearchOutcome:
@@ -286,9 +283,14 @@ def bounded_validity(f: Formula, bounds: SearchBounds, mode: str = INT) -> Searc
 
     Returns the canonically least countermodel if one exists within the
     bounds, otherwise records that none was found up to them.  The
-    structures are evaluated in enumeration order, in the forests that
-    `_layout` lays out; the countermodel is the first structure whose root
-    lies outside the extension.
+    structures are evaluated in enumeration order, one size class at a time
+    in forests of at most FOREST_WORLDS worlds; the countermodel is the
+    first structure whose root lies outside the extension.  A tree search
+    with no ranging quantifier packs whole classes instead (`_layout`): its
+    formula is a constant (see `semantics`), so it ends at one world or runs
+    to the bound, and fewer forests cost less.  A ranging quantifier tries
+    each proposition of a forest's largest component, so in a packed forest
+    a countermodel of 2 worlds would wait for those of 6-world trees.
     """
     table = compile_formula(f)
     if table.free:
@@ -303,7 +305,9 @@ def bounded_validity(f: Formula, bounds: SearchBounds, mode: str = INT) -> Searc
             f"poset search supports at most {POSET_WORLD_CAP} worlds"
         )
     if cls == "finite-trees":
-        forests = _tree_forests(bounds.max_worlds)
+        quantifiers = table.ops.count(FORALL) + table.ops.count(EXISTS)
+        packed = table.fixed.count(None) + quantifiers == len(table.fixed)  # every quantifier fixed
+        forests = _tree_forests(bounds.max_worlds, packed)
     elif cls == "finite-posets":
         forests = _model_forests(bounds.max_worlds, lambda n: enumerate_posets(n, mode))
     else:

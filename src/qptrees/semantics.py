@@ -40,7 +40,9 @@ variables are monotone; so for a positive-only p, U included in U' gives
 ext(A[p:=U]) included in ext(A[p:=U']), and the intersection over all U,
 the extension of `forall p A`, is ext(A[p:=empty]).  Only the remaining
 quantifiers enumerate propositions; a forest zips its list on the first
-evaluation that reaches one, and keeps it for later ones.
+evaluation that reaches one, and keeps it for later ones.  So a closed
+formula whose quantifiers are all fixed is a constant, empty or full on
+every structure, as `bot` and `~bot` are.
 
 Every public function takes either a formula or its compiled node table;
 passing the table lets a caller that evaluates one formula on many models

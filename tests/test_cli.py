@@ -353,6 +353,24 @@ def test_commands_read_their_arguments_as_the_top_level_parser_would(diamond_fil
         assert (run(argv), capsys.readouterr()) == expected, argv
 
 
+def test_commands_get_the_namespace_the_top_level_parser_gives(diamond_file, monkeypatch):
+    seen = []
+    for name in [name for name in vars(cli) if name.startswith("_cmd_")]:
+        monkeypatch.setattr(cli, name, lambda ns: (seen.append(ns), (0, []))[1])
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv in (
+        ["decide", "--formula", "bot", "--class", "chains", "--max", "2"],
+        ["check", "--model", diamond_file, "--formula", "p", "--world", "a"],
+        ["embed", "--formula", "p"],
+        ["godel", "--formula", "p", "--values", "0,1"],
+        ["translate", "--formula", "bot", "--class", "qpHt-fin"],
+        ["examples"],
+    ):
+        assert run(argv) == 0
+        assert seen.pop() == cli.build_parser().parse_args(argv)
+        assert vars(cli.build_parser().parse_args(argv))["command"] == argv[0]
+
+
 def test_deep_nesting_is_a_clean_error(capsys):
     deep = "~" * 3000 + "bot"
     for argv in (

@@ -1,10 +1,10 @@
 import json
-import math
 import os
 import random
 import subprocess
 import sys
 import weakref
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,9 @@ from helpers import (
     random_formula,
     rooted_tree_count,
 )
-from qptrees.formula import INT, S4, OpenFormulaError, LanguageError, Var, parse_formula
+from qptrees.formula import (
+    EXISTS, FORALL, INT, S4, LanguageError, OpenFormulaError, Var, compile_formula, parse_formula,
+)
 from qptrees import cli, search
 from qptrees.embedding import t_embed
 from qptrees.kripke import Forest, Model, chain, dump_model
@@ -307,11 +309,11 @@ def test_forest_extensions_are_the_extensions_of_their_components():
     int_formulas = [parse_formula(t) for t in ("forall p (p | ~p)", "~~(forall p (p | ~p))",
                                                "forall p (~p | ~~p)", "exists p (p & ~forall q (q | ~q))")]
     # the 115 trees of 8 worlds, 920 worlds, are split over two forests
-    for n in range(1, 9):
-        check_forest_slices(_tree_forests(n), int_formulas, INT, structures_up_to("finite-trees", n, INT))
+    for n, packed in product(range(1, 9), (False, True)):
+        check_forest_slices(_tree_forests(n, packed), int_formulas, INT, structures_up_to("finite-trees", n, INT))
     s4_formulas = [parse_formula(t, S4) for t in FOREST_PINNED_S4 + ["box forall p (p | ~p)"]]
-    for n in range(1, 6):
-        check_forest_slices(_tree_forests(n), s4_formulas, S4, structures_up_to("finite-trees", n, S4))
+    for n, packed in product(range(1, 6), (False, True)):
+        check_forest_slices(_tree_forests(n, packed), s4_formulas, S4, structures_up_to("finite-trees", n, S4))
     for n in range(1, 5):
         for mode, formulas in ((INT, int_formulas), (S4, s4_formulas)):
             check_forest_slices(_model_forests(n, lambda k: enumerate_posets(k, mode)), formulas, mode,
@@ -387,7 +389,7 @@ def test_a_later_search_builds_no_forest_and_zips_nothing(monkeypatch):
 
 def test_interleaved_searches_match_a_fresh_process_in_reverse(fresh_table):
     forward = tree_searches(TABLE_PLAN)
-    assert [len(ids) for ids, _ in search._shape_cache[8][1]] == [1, 36, 48, 64, 51]
+    assert [len(ids) for ids, _ in search._shape_cache[8][1]] == [1, 1, 2, 4, 9, 20, 48, 64, 51]
     dumps = [dump for step in forward for dump in step]
     assert any(dumps) and None in dumps
     here = Path(__file__).resolve().parent
@@ -414,7 +416,7 @@ def test_countermodel_takes_the_requested_mode_from_a_shared_table(fresh_table):
 
 def test_forest_zips_its_propositions_once_and_drops_their_source(fresh_table):
     trees = structures_up_to("finite-trees", 8, INT)
-    for ids, forest in _tree_forests(8):
+    for ids, forest in _tree_forests(8, False) + _tree_forests(8, True)[1:2]:
         source = weakref.ref(forest._upsets)
         first = forest.propositions(False)
         assert source() is None and forest._upsets is None
@@ -428,22 +430,24 @@ def test_forest_zips_its_propositions_once_and_drops_their_source(fresh_table):
             offset += len(m.worlds)
 
 
-# --- the layout: one world alone, then whole size classes per forest -----------
+# --- the layout: one size per forest, or whole size classes per forest ----------
 
 
-def tree_layout(bound):
+def tree_layout(bound, packed):
     """The worlds in each forest of a tree search up to `bound`."""
-    return [sum(forest.sizes) for _, forest in _tree_forests(bound)]
+    return [sum(forest.sizes) for _, forest in _tree_forests(bound, packed)]
 
 
-def test_layouts_pack_whole_size_classes():
-    assert tree_layout(1) == [1]
-    assert tree_layout(5) == [1, 69]
-    assert tree_layout(7) == [1, 189, 336]
-    assert [sorted(set(forest.sizes)) for _, forest in _tree_forests(7)] == [[1], [2, 3, 4, 5, 6], [7]]
-    assert tree_layout(8) == [1, 189, 336, 512, 408]
+def test_layouts_cut_size_classes_and_pack_whole_ones():
     # 286 trees of 9 worlds in runs of 56, 719 of 10 in runs of 51
-    assert tree_layout(10) == [1, 189, 336, 512, 408] + [504] * 5 + [54] + [510] * 14 + [50]
+    above_seven = [336, 512, 408] + [504] * 5 + [54] + [510] * 14 + [50]
+    assert tree_layout(10, False) == [1, 2, 6, 16, 45, 120] + above_seven
+    assert tree_layout(1, True) == [1]
+    assert tree_layout(5, True) == [1, 69]
+    assert tree_layout(7, True) == [1, 189, 336]
+    assert [sorted(set(forest.sizes)) for _, forest in _tree_forests(7, True)] == [[1], [2, 3, 4, 5, 6], [7]]
+    assert tree_layout(8, True) == [1, 189, 336, 512, 408]
+    assert tree_layout(10, True) == [1, 189] + above_seven
 
 
 def per_size_layout(bound):
@@ -457,33 +461,17 @@ def per_size_layout(bound):
     return runs
 
 
-def upset_counts():
-    """The number of upsets of each shape by id: the whole tree, and one
-    upset of each child subtree."""
-    counts = []
-    for _, children, _ in search._shape_data:
-        counts.append(1 + math.prod(counts[c] for c in children))
-    return counts
-
-
-def test_each_forest_joins_per_size_forests_and_tries_no_more_propositions():
+def test_each_packed_forest_joins_per_size_forests():
     for bound in range(1, 11):
-        runs = [ids for ids, _ in _tree_forests(bound)]
+        assert [ids for ids, _ in _tree_forests(bound, False)] == per_size_layout(bound)
+        runs = [ids for ids, _ in _tree_forests(bound, True)]
         apart = per_size_layout(bound)
         assert runs[0] == range(1) and runs[-1].stop == apart[-1].stop
         assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
         assert {ids.start for ids in runs} <= {ids.start for ids in apart}
-        # from 7 worlds up, the layout is the per-size one
+        # from 7 worlds up, the layouts agree
         seven = search._shape_ids(7).start if bound >= 7 else runs[-1].stop
         assert [ids for ids in runs if ids.start >= seven] == [ids for ids in apart if ids.start >= seven]
-        # a ranging quantifier runs K bodies, K the most propositions of a
-        # component; two nested ones run K**2
-        counts, sizes = upset_counts(), [data[0] for data in search._shape_data]
-        for propositions in (lambda i: counts[i], lambda i: 2 ** sizes[i]):
-            def squares(layout):
-                return sum(max(map(propositions, ids)) ** 2 for ids in layout)
-
-            assert squares(runs) <= squares(apart), bound
 
 
 def depth_formula(k):
@@ -507,31 +495,76 @@ def evaluated(monkeypatch):
     return forests
 
 
-def test_least_countermodel_inside_the_shared_forest(evaluated):
+def test_a_search_with_a_ranging_quantifier_stops_at_the_size_it_refutes(evaluated):
     texts = [depth_formula(k) for k in range(2, 7)] + ["forall p forall q ((p -> q) | (q -> p))"]
     for mode in (INT, S4):
         sizes = []
         for text in texts:
             f = parse_formula(text) if mode == INT else t_embed(parse_formula(text))
             evaluated.clear()
-            got = bounded_validity(f, SearchBounds(6, "finite-trees"), mode).countermodel
-            assert got == first_countermodel(f, "finite-trees", 6, mode), (mode, text)
-            assert [sum(forest.sizes) for forest in evaluated] == [1, 189]
-            sizes.append(len(got.worlds))
+            got = bounded_validity(f, SearchBounds(8, "finite-trees"), mode).countermodel
+            assert got == first_countermodel(f, "finite-trees", 8, mode), (mode, text)
+            n = len(got.worlds)
+            assert [set(forest.sizes) for forest in evaluated] == [{k} for k in range(1, n + 1)]
+            sizes.append(n)
         assert sizes == [2, 3, 4, 5, 6, 3]
 
 
+def test_a_formula_with_no_ranging_quantifier_is_decided_at_one_world():
+    # so its search never finds a countermodel in a packed forest
+    rng = random.Random(11)
+    seen = 0
+    while seen < 150:
+        mode = rng.choice((INT, S4))
+        f = random_formula(rng, 4, lang=mode, scope=(), quantifiers=3, closed=True)
+        table = compile_formula(f)
+        if any(op in (FORALL, EXISTS) and fix is None for op, fix in zip(table.ops, table.fixed)):
+            continue
+        seen += 1
+        one = bounded_validity(f, SearchBounds(1, "finite-trees"), mode).countermodel
+        assert bounded_validity(f, SearchBounds(6, "finite-trees"), mode).countermodel == one
+
+
 def test_decide_up_to_seven_worlds_evaluates_three_forests(evaluated, capsys):
-    for mode, text in (("int", "~~(forall p (p | ~p))"), ("s4", "forall p (box p -> p)")):
+    for mode, text in (("int", "forall p (bot -> p) | exists q q"), ("s4", "box forall p (p -> dia ~bot)")):
         evaluated.clear()
         assert cli.run(["decide", "--formula", text, "--class", "finite-trees", "--max", "7",
                         "--mode", mode]) == 0
-        assert len(evaluated) <= 3
+        assert [sum(forest.sizes) for forest in evaluated] == [1, 189, 336]
     assert "OUTCOME: no-counterexample" in capsys.readouterr().out
+    assert cli.run(["decide", "--formula", "forall p (p -> p)", "--class", "finite-trees", "--max", "7"]) == 0
+    assert len(evaluated) == 3 + 7
 
 
-def test_model_forests_pack_posets_and_chains():
+def test_model_forests_hold_one_size_each():
     posets = [[len(m.worlds) for m in models] for models, _ in _model_forests(6, enumerate_posets)]
-    assert posets == [[1], [2] + [3] * 2 + [4] * 5 + [5] * 16 + [6] * 63]
+    assert posets == [[1], [2], [3] * 2, [4] * 5, [5] * 16, [6] * 63]
     chains = [[len(m.worlds) for m in models] for models, _ in _model_forests(40, lambda n: [chain(n)])]
-    assert chains == [[1], list(range(2, 32)), list(range(32, 41))]
+    assert chains == [[n] for n in range(1, 41)]
+
+
+def test_a_long_s4_chain_search_refuted_early_evaluates_only_the_short_chains(monkeypatch):
+    evaluated = []
+
+    def spy(forest, *args):
+        # one forest of chains of 2 to 28 worlds would try 2**28 subsets
+        assert len(forest.sizes) == 1, forest.sizes
+        evaluated.append(forest.sizes)
+        return forest_extension(forest, *args)
+
+    monkeypatch.setattr(search, "forest_extension", spy)
+    f = parse_formula("forall p (p -> box p)", S4)
+    got = bounded_validity(f, SearchBounds(28, "chains"), S4).countermodel
+    assert len(got.worlds) == 2 and evaluated == [(1,), (2,)]
+
+
+def test_a_poset_search_refuted_early_enumerates_no_larger_posets(monkeypatch):
+    sizes = []
+
+    def spy(n, mode=INT):
+        sizes.append(n)
+        return enumerate_posets(n, mode)
+
+    monkeypatch.setattr(search, "enumerate_posets", spy)
+    got = bounded_validity(parse_formula("forall p (p | ~p)"), SearchBounds(6, "finite-posets")).countermodel
+    assert len(got.worlds) == 2 and sizes == [1, 2]
