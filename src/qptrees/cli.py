@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .formula import parse_formula, print_formula
+from .formula import compile_formula, parse_formula, print_formula
 from .godel import godel_eval, parse_truth_value, parse_truth_values, refuting_valuation
 from .kripke import ModelFormatError, dump_model, load_model, tree_world
 from .embedding import t_embed
@@ -57,10 +57,10 @@ def _cmd_check(ns) -> tuple[int, list[str]]:
 
 
 def _cmd_decide(ns) -> tuple[int, list[str]]:
-    f = parse_formula(ns.formula, lang=ns.mode)
-    outcome = bounded_validity(f, SearchBounds(ns.max, ns.cls), ns.mode)
+    table = compile_formula(ns.formula, ns.mode)  # no syntax tree on this path
+    outcome = bounded_validity(table, SearchBounds(ns.max, ns.cls), ns.mode)
     lines = [
-        f"FORMULA: {print_formula(f)}",
+        f"FORMULA: {print_formula(table)}",
         f"CLASS: {ns.cls}",
         f"MODE: {ns.mode}",
         f"MAX-WORLDS: {ns.max}",

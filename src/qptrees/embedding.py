@@ -20,8 +20,7 @@ from .formula import (
     OpenFormulaError,
     Or,
     Var,
-    free_vars,
-    is_modal,
+    compile_formula,
     print_formula,
 )
 from .kripke import Model
@@ -75,10 +74,11 @@ def check_embedding_pair(m: Model, f: Formula) -> tuple[bool, bool]:
     """
     if m.mode != INT:
         raise ValueError("expected an intuitionistic model")
-    if is_modal(f):
+    t = compile_formula(f)
+    if t.modal:
         raise LanguageError("expected an intuitionistic formula")
-    if free_vars(f):
+    if t.free:
         raise OpenFormulaError(
             f"expected a closed formula, got {print_formula(f)!r}"
         )
-    return validates(m, f), validates(m.with_mode(S4), t_embed(f))
+    return validates(m, t), validates(m.with_mode(S4), t_embed(f))

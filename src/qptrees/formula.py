@@ -1,5 +1,12 @@
 """AST, parser, printer, and compiled node tables for the two object languages.
 
+The parser reads a text once, with one explicit stack, into the post-order
+that `compile_formula` interns into a node table; `parse_formula` builds a
+syntax tree from that same post-order.  A table prints by the same rules as
+a tree, so a query can go from text to table to text without a tree.
+Parsing, compiling and printing are iterative: no nesting depth is too deep
+for them.
+
 The intuitionistic language has variables, `bot`, `&`, `|`, `->` and the
 propositional quantifiers `forall p` / `exists p`.  The modal (S4) language
 adds the unary operators `box` and `dia`.  Negation is not a node of its
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 INT = "int"
@@ -134,24 +142,26 @@ VAR, BOT, AND, OR, IMPLIES, FORALL, EXISTS, BOX, DIA = range(9)
 # The proposition that fixes a one-polarity quantifier.
 EMPTY, FULL = "empty", "full"
 
-_OPS = MappingProxyType({
-    Var: VAR, Bottom: BOT, And: AND, Or: OR, Implies: IMPLIES,
-    Forall: FORALL, Exists: EXISTS, Box: BOX, Diamond: DIA,
-})
+_BOT = (BOT, (), 0)  # the post-order entry of `bot` (see `compile_formula`)
+
+# The syntax tree class of each op code, and back.
+_NODES = (Var, Bottom, And, Or, Implies, Forall, Exists, Box, Diamond)
+_OPS = MappingProxyType({node: op for op, node in enumerate(_NODES)})
 
 
 @dataclass(frozen=True, eq=False)
 class NodeTable:
     """A formula compiled once into an interned, integer-indexed node table.
 
-    Nodes are listed in post-order, so children come before their parents
-    and the root is the last node.  The binder with preorder number k is
-    renamed `f"{var}#{k}"` (no identifier), so no variable is rebound in its
-    own scope, and equal subformulas share one id unless they use a bound
-    variable.  For node `i`, `ops[i]` is its op code and `args[i]` its
-    operands: the name for VAR, `()` for BOT, `(left, right)` for AND, OR and
-    IMPLIES, `(name, body)` for FORALL and EXISTS, `(body,)` for BOX and DIA.
-    `free` is the sorted tuple of the formula's free variables.
+    Nodes are listed in post-order, left child first, so children come
+    before their parents and the root is the last node.  The k-th binder
+    from the left of the text (counting from 0) is renamed `f"{var}#{k}"`
+    (no identifier), so no variable is rebound in its own scope, and equal
+    subformulas share one id unless they use a bound variable.  For node
+    `i`, `ops[i]` is its op code and `args[i]` its operands: the name for
+    VAR, `()` for BOT, `(left, right)` for AND, OR and IMPLIES,
+    `(name, body)` for FORALL and EXISTS, `(body,)` for BOX and DIA.  `free`
+    is the sorted tuple of the formula's free variables.
 
     Each node is in one schedule, in post-order: `top` if it uses no bound
     variable, else `schedules[i]` of the quantifier `i` binding its innermost
@@ -162,9 +172,13 @@ class NodeTable:
     proposition decides the quantifier (see `semantics`).  It is None for
     every other node, so a quantifier with None ranges over all
     propositions.
+
+    `source` is the syntax tree the table was compiled from, or the text
+    and its language; `formula` is the syntax tree, which for a table
+    compiled from text is parsed again when first read.
     """
 
-    formula: Formula
+    source: Formula | tuple[str, str]
     ops: tuple[int, ...]
     args: tuple
     free: tuple[str, ...]
@@ -180,48 +194,81 @@ class NodeTable:
     def modal(self) -> bool:
         return BOX in self.ops or DIA in self.ops
 
+    @cached_property
+    def formula(self) -> Formula:
+        return parse_formula(*self.source) if isinstance(self.source, tuple) else self.source
 
-def compile_formula(f: Formula) -> NodeTable:
-    """Compile `f` into its node table; iterative, so any depth is fine.
+
+def compile_formula(f: Formula | str | NodeTable, lang: str = INT) -> NodeTable:
+    """Compile `f`, a syntax tree or a text in the language `lang`, into its
+    node table; a table is returned unchanged.  Iterative, so any depth is
+    fine.  Raises what `parse_formula` raises on a text, and TypeError if a
+    tree holds something that is not a formula node.
+
+    Text and tree give the same table, names included: both are first read
+    into the same post-order of (op, name, bit) entries, left child first.
+    A VAR entry holds the variable's name and 0, or if it is bound, its
+    binder's new name and bit; a FORALL or EXISTS entry its own new name and
+    bit; any other entry `()` and 0.  A binder's bit is 1 << (the number of
+    binders around it).
+    """
+    if isinstance(f, NodeTable):
+        return f
+    if isinstance(f, str):
+        return _intern(_parse(f, lang), (f, lang))
+    return _intern(_walk(f), f)
+
+
+def _walk(f: Formula) -> list[tuple]:
+    """The post-order entries of the syntax tree `f`: left child first, and
+    binders numbered as they are entered, which is their order in the text."""
+    entries, stack, scope, depth, binders = [], [f], {}, 0, 0
+    leave = object()  # below it: a node's own entry, its variable and what that hid
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            bound = scope.get(node.name)
+            entries.append((VAR, node.name, 0) if bound is None else (VAR, *bound))
+            continue
+        if node is leave:
+            entry, var, outer = stack.pop()
+            entries.append(entry)
+            if var is not None:
+                scope[var] = outer
+                depth -= 1
+            continue
+        op = _OPS.get(kind)
+        if op is None:
+            raise TypeError(f"not a formula node: {node!r}")
+        if op == BOT:
+            entries.append(_BOT)
+        elif op in (FORALL, EXISTS):
+            bound = (f"{node.var}#{binders}", 1 << depth)
+            stack += (((op, *bound), node.var, scope.get(node.var)), leave, node.body)
+            scope[node.var] = bound
+            binders += 1
+            depth += 1
+        elif op in (AND, OR, IMPLIES):
+            stack += (((op, (), 0), None, None), leave, node.right, node.left)
+        else:
+            stack += (((op, (), 0), None, None), leave, node.body)
+    return entries
+
+
+def _intern(entries: list[tuple], source) -> NodeTable:
+    """The node table of post-order entries.
 
     It tracks, per node, the bound variables with a positive and those with
     a negative occurrence, one bit per binder depth, so the highest bit is the
     innermost binder: `->` flips the polarity of its left side, every other
-    connective keeps it, and a quantifier drops its own bit.  Raises TypeError
-    if the tree holds something that is not a formula node.
+    connective keeps it, and a quantifier drops its own bit.
     """
-    preorder, stack, depth = [], [f], 0
-    scope, leave = {}, object()  # variable -> (new name, depth bit) of its binder, or None
-    while stack:
-        node = stack.pop()
-        if node is leave:  # the end of a binder's scope; below it, what it hid
-            var, outer = stack.pop()
-            scope[var] = outer
-            depth -= 1
-            continue
-        op = _OPS.get(type(node))
-        if op is None:
-            raise TypeError(f"not a formula node: {node!r}")
-        if op == VAR:
-            bound = scope.get(node.name)
-            preorder.append((op, node.name, 0) if bound is None else (op, *bound))
-        elif op in (FORALL, EXISTS):
-            stack += ((node.var, scope.get(node.var)), leave, node.body)
-            scope[node.var] = bound = (f"{node.var}#{len(preorder)}", 1 << depth)
-            preorder.append((op, *bound))
-            depth += 1
-        else:
-            preorder.append((op, (), 0))
-            if op in (AND, OR, IMPLIES):
-                stack += (node.left, node.right)
-            elif op != BOT:
-                stack.append(node.body)
-    # Reversed, a right-first preorder is a left-first post-order.
     interned: dict[tuple, int] = {}
     ids, ops, args, fixed = [], [], [], []
     positive, negative = [], []  # per node id: bound variables of each polarity
     schedules, own = {}, []  # depth -> schedule of the binder open there, -1: top
-    for op, name, bit in reversed(preorder):
+    for op, name, bit in entries:
         fix = None
         if op in (VAR, BOT):
             arg, pos, neg = name, bit, 0
@@ -262,7 +309,7 @@ def compile_formula(f: Formula) -> NodeTable:
         ids.append(i)
     free = tuple(sorted(a for op, a in zip(ops, args) if op == VAR and "#" not in a))
     top = tuple(schedules[-1])  # the root, at least
-    return NodeTable(f, tuple(ops), tuple(args), free, tuple(fixed), top, tuple(own))
+    return NodeTable(source, tuple(ops), tuple(args), free, tuple(fixed), top, tuple(own))
 
 
 def free_vars(f: Formula) -> frozenset[str]:
@@ -277,126 +324,136 @@ def is_modal(f: Formula) -> bool:
 
 # --- parsing -------------------------------------------------------------
 
+# A text the parser reads is a run of blanks and tokens, all of them ASCII,
+# so an offset into it is also a byte offset.
+_LEXEMES = re.compile(r"[ \t\r\n()&|~]*(?:(?:->|[a-z][a-zA-Z0-9_]*)[ \t\r\n()&|~]*)*")
+_TOKEN = re.compile(r"->|[()&|~]|[a-z][a-zA-Z0-9_]*")
 
-def _byte_offset(text: str, i: int) -> int:
-    return len(text[:i].encode("utf-8"))
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c in "()&|~":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c == "-":
-            if text.startswith("->", i):
-                tokens.append(("->", "->", i))
-                i += 2
-                continue
-            raise FormulaSyntaxError("expected '->'", _byte_offset(text, i))
-        m = _IDENT.match(text, i)
-        if m is not None:
-            word = m.group()
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append((kind, word, i))
-            i = m.end()
-            continue
-        raise FormulaSyntaxError(f"unexpected character {c!r}", _byte_offset(text, i))
-    tokens.append(("end", "", n))
-    return tokens
+# How tightly an operator waiting on the parser's stack binds; `(` binds
+# nothing, and the stack's bottom (-1) less still.
+_OPEN, _IMPL, _OR, _AND, _PREFIX = range(5)
+_INFIX = MappingProxyType({
+    "->": (_IMPL, (IMPLIES, (), 0)), "|": (_OR, (OR, (), 0)), "&": (_AND, (AND, (), 0)),
+})
+_PREFIXES = MappingProxyType({  # ~A is A -> bot
+    "(": (_OPEN,), "~": (_PREFIX, (IMPLIES, (), 0), None, None),
+    "box": (_PREFIX, (BOX, (), 0), None, None), "dia": (_PREFIX, (DIA, (), 0), None, None),
+})
 
 
-class _Parser:
-    def __init__(self, text: str, lang: str):
-        self.text = text
-        self.lang = lang
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _offset(text: str, k: int) -> int:
+    """Where the k-th token of `text` starts; the end of the text counts as
+    the last token."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    return starts[k] if k < len(starts) else len(text)
 
-    def peek(self) -> str:
-        return self.tokens[self.pos][0]
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _parse(text: str, lang: str) -> list[tuple]:
+    """The post-order entries of `text` (see `compile_formula`).
 
-    def fail(self, message: str):
-        offset = self.tokens[self.pos][2]
-        raise FormulaSyntaxError(message, _byte_offset(self.text, offset))
-
-    def formula(self) -> Formula:
-        f = self.impl()
-        if self.peek() != "end":
-            self.fail(f"unexpected {self.tokens[self.pos][1]!r} after formula")
-        return f
-
-    def impl(self) -> Formula:
-        left = self.disj()
-        if self.peek() == "->":
-            self.next()
-            return Implies(left, self.impl())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "|":
-            self.next()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "&":
-            self.next()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        kind = self.peek()
-        if kind == "~":
-            self.next()
-            return neg(self.unary())
-        if kind in ("box", "dia"):
-            _, word, offset = self.next()
-            if self.lang != S4:
+    One pass over the tokens with one stack of waiting operators: a prefix
+    operator waits for the unary formula after it, an infix one until an
+    operator that binds less tightly, `)` or the end.  A binder is renamed
+    when it is read, and each variable resolved while its binder waits.
+    """
+    if lang not in LANGUAGES:
+        raise ValueError(f"unknown language tag {lang!r}")
+    # a bad character anywhere is reported before any syntax error
+    end = _LEXEMES.match(text).end()
+    if end < len(text):
+        if text[end] == "-":
+            raise FormulaSyntaxError("expected '->'", end)
+        raise FormulaSyntaxError(f"unexpected character {text[end]!r}", end)
+    words = (text.replace("->", " -> ").replace("(", " ( ").replace(")", " ) ")
+             .replace("&", " & ").replace("|", " | ").replace("~", " ~ ").split())
+    words.append("")  # the end
+    entries, stack, scope = [], [(-1,)], {}  # scope: variable -> (new name, bit)
+    depth = binders = i = 0
+    while True:
+        # Where a unary formula starts: its prefix operators, then an operand.
+        word = words[i]
+        i += 1
+        item = _PREFIXES.get(word)
+        if item is not None:
+            if word in ("box", "dia") and lang != S4:
                 raise LanguageError(
                     f"{word!r} is not part of the intuitionistic language "
-                    f"(byte {_byte_offset(self.text, offset)})"
+                    f"(byte {_offset(text, i - 1)})"
                 )
-            body = self.unary()
-            return Box(body) if kind == "box" else Diamond(body)
-        if kind in ("forall", "exists"):
-            self.next()
-            if self.peek() != "ident":
-                self.fail("expected a variable after quantifier")
-            _, name, _ = self.next()
-            body = self.unary()
-            return Forall(name, body) if kind == "forall" else Exists(name, body)
-        return self.atom()
+            stack.append(item)
+            continue
+        if word == "forall" or word == "exists":
+            var = words[i]
+            if not var[:1].isalpha() or var in _KEYWORDS:
+                raise FormulaSyntaxError("expected a variable after quantifier", _offset(text, i))
+            i += 1
+            bound = (f"{var}#{binders}", 1 << depth)
+            op = FORALL if word == "forall" else EXISTS
+            stack.append((_PREFIX, (op, *bound), var, scope.get(var)))
+            scope[var] = bound
+            binders += 1
+            depth += 1
+            continue
+        if word == "bot":
+            entries.append(_BOT)
+        elif word[:1].isalpha():
+            bound = scope.get(word)
+            entries.append((VAR, word, 0) if bound is None else (VAR, *bound))
+        else:
+            raise FormulaSyntaxError("expected a formula", _offset(text, i - 1))
+        # After an operand: it completes the prefix operators waiting for
+        # it, and so does each `)` that follows.
+        while True:
+            while stack[-1][0] == _PREFIX:
+                _, entry, var, outer = stack.pop()
+                if var is not None:
+                    scope[var] = outer
+                    depth -= 1
+                elif entry[0] == IMPLIES:
+                    entries.append(_BOT)
+                entries.append(entry)
+            word = words[i]
+            i += 1
+            if word != ")":
+                break
+            while stack[-1][0] > _OPEN:
+                entries.append(stack.pop()[1])
+            if stack[-1][0] != _OPEN:
+                raise FormulaSyntaxError("unexpected ')' after formula", _offset(text, i - 1))
+            stack.pop()
+        infix = _INFIX.get(word)
+        if infix is None:
+            inside = (_OPEN,) in stack
+            if word or inside:
+                message = "expected ')'" if inside else f"unexpected {word!r} after formula"
+                raise FormulaSyntaxError(message, _offset(text, i - 1))
+            while len(stack) > 1:
+                entries.append(stack.pop()[1])
+            return entries
+        # `&` and `|` group to the left, `->` to the right
+        strength = infix[0]
+        while stack[-1][0] > strength or stack[-1][0] == strength != _IMPL:
+            entries.append(stack.pop()[1])
+        stack.append(infix)
 
-    def atom(self) -> Formula:
-        kind = self.peek()
-        if kind == "ident":
-            _, name, _ = self.next()
-            return Var(name)
-        if kind == "bot":
-            self.next()
-            return Bottom()
-        if kind == "(":
-            self.next()
-            f = self.impl()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.next()
-            return f
-        self.fail("expected a formula")
+
+def _tree(entries: list[tuple]) -> Formula:
+    """The syntax tree of post-order entries, built by its constructors."""
+    stack = []
+    for op, name, _ in entries:
+        node = _NODES[op]
+        if op == VAR:
+            stack.append(node(name.partition("#")[0]))
+        elif op == BOT:
+            stack.append(node())
+        elif op in (FORALL, EXISTS):
+            stack[-1] = node(name.partition("#")[0], stack[-1])
+        elif op in (BOX, DIA):
+            stack[-1] = node(stack[-1])
+        else:
+            right = stack.pop()
+            stack[-1] = node(stack[-1], right)
+    return stack[0]
 
 
 def parse_formula(text: str, lang: str = INT) -> Formula:
@@ -405,43 +462,91 @@ def parse_formula(text: str, lang: str = INT) -> Formula:
     Raises FormulaSyntaxError on malformed input and LanguageError when a
     modal operator appears under the intuitionistic language tag.
     """
-    if lang not in LANGUAGES:
-        raise ValueError(f"unknown language tag {lang!r}")
-    return _Parser(text, lang).formula()
+    return _tree(_parse(text, lang))
 
 
 # --- printing ------------------------------------------------------------
 
-# Precedence contexts: 1 implication, 2 disjunction, 3 conjunction,
-# 4 prefix operators and quantifiers, 5 atoms.
+# How each compound node prints, per op code: (precedence, head, place of the
+# body or left child, infix, place of the right child).  Precedences: 1
+# implication, 2 disjunction, 3 conjunction, 4 prefix operators and
+# quantifiers, 5 atoms.  A child gets parentheses when its precedence is
+# below its place.  A quantifier's head is followed by its variable, and
+# `A -> bot` prints as `~A`, by the layout of _NEG.  Both printers below
+# apply these rules top down, so each piece of text is written once.
+_NEG = 9
+_LAYOUT = (
+    None, None, (3, "", 3, " & ", 4), (2, "", 2, " | ", 3), (1, "", 2, " -> ", 1),
+    (4, "forall ", 4, "", 0), (4, "exists ", 4, "", 0), (4, "box ", 4, "", 0),
+    (4, "dia ", 4, "", 0), (4, "~", 4, "", 0),
+)
 
 
-def _print(f: Formula, ctx: int) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Bottom):
-        return "bot"
-    if isinstance(f, Implies) and isinstance(f.right, Bottom):
-        return "~" + _print(f.left, 4)
-    if isinstance(f, Implies):
-        s, prec = _print(f.left, 2) + " -> " + _print(f.right, 1), 1
-    elif isinstance(f, Or):
-        s, prec = _print(f.left, 2) + " | " + _print(f.right, 3), 2
-    elif isinstance(f, And):
-        s, prec = _print(f.left, 3) + " & " + _print(f.right, 4), 3
-    elif isinstance(f, Forall):
-        s, prec = f"forall {f.var} " + _print(f.body, 4), 4
-    elif isinstance(f, Exists):
-        s, prec = f"exists {f.var} " + _print(f.body, 4), 4
-    elif isinstance(f, Box):
-        s, prec = "box " + _print(f.body, 4), 4
-    elif isinstance(f, Diamond):
-        s, prec = "dia " + _print(f.body, 4), 4
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    return "(" + s + ")" if prec < ctx else s
+def print_formula(f: Formula | NodeTable) -> str:
+    """Render `f`, a syntax tree or a node table, with minimal parentheses;
+    reparsing yields `f` again.  Iterative, so any depth is fine."""
+    if isinstance(f, NodeTable):
+        return _print_table(f)
+    out, stack = [], [(f, 1)]  # pieces of text, or a node and its place
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, place = item
+        kind = type(node)
+        if kind is Var:
+            out.append(node.name)
+            continue
+        if kind is Bottom:
+            out.append("bot")
+            continue
+        op = _OPS.get(kind)
+        if op is None:
+            raise TypeError(f"not a formula node: {node!r}")
+        if op == IMPLIES and type(node.right) is Bottom:
+            op = _NEG
+        precedence, head, inner, infix, right = _LAYOUT[op]
+        if precedence < place:
+            out.append("(")
+            stack.append(")")
+        out.append(head + node.var + " " if op == FORALL or op == EXISTS else head)
+        if infix:
+            stack += ((node.right, right), infix, (node.left, inner))
+        else:
+            stack.append((node.left if op == _NEG else node.body, inner))
+    return "".join(out)
 
 
-def print_formula(f: Formula) -> str:
-    """Render `f` with minimal parentheses; reparsing yields `f` again."""
-    return _print(f, 1)
+def _print_table(t: NodeTable) -> str:
+    """`print_formula` on a node table: the same rules, reading nodes by id."""
+    ops, args = t.ops, t.args
+    out, stack = [], [(t.root, 1)]  # pieces of text, or a node id and its place
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        i, place = item
+        op, arg = ops[i], args[i]
+        if op == VAR:
+            out.append(arg.partition("#")[0])
+            continue
+        if op == BOT:
+            out.append("bot")
+            continue
+        if op == IMPLIES and ops[arg[1]] == BOT:
+            op = _NEG
+        precedence, head, inner, infix, right = _LAYOUT[op]
+        if precedence < place:
+            out.append("(")
+            stack.append(")")
+        if op == FORALL or op == EXISTS:
+            head += arg[0].partition("#")[0] + " "
+            arg = arg[1:]
+        out.append(head)
+        if infix:
+            stack.append((arg[1], right))
+            stack.append(infix)
+        stack.append((arg[0], inner))
+    return "".join(out)

@@ -41,7 +41,6 @@ from .formula import (
     UnboundVariableError,
     Var,
     compile_formula,
-    free_vars,
     is_modal,
     print_formula,
 )
@@ -187,12 +186,13 @@ def chain_correspondence(k: int, f: Formula) -> tuple[bool, bool]:
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    if is_modal(f):
+    t = compile_formula(f)
+    if t.modal:
         raise LanguageError("expected an intuitionistic formula")
-    if free_vars(f):
+    if t.free:
         raise OpenFormulaError(
             f"expected a closed formula, got {print_formula(f)!r}"
         )
-    on_chain = validates(chain(k, INT), f)
+    on_chain = validates(chain(k, INT), t)
     many_valued = godel_eval({}, f, evenly_spaced(k)) == ONE
     return on_chain, many_valued

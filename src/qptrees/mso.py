@@ -183,6 +183,12 @@ def _disj(parts) -> MsoFormula:
 
 _SHAPES = ("all", "arity", "finite", "omega")
 
+# The largest arity of a complete-tree class.  Its arity guard conjoins one
+# clause per pair of successors, nested N(N-1)/2 deep, and `emit` recurses
+# once per level: from 43 up that overflowed the stack, and 32 leaves room
+# for callers deeper in the stack, such as a test runner.
+MAX_ARITY = 32
+
 
 @dataclass(frozen=True)
 class LogicClass:
@@ -203,8 +209,8 @@ class LogicClass:
         if self.shape not in _SHAPES:
             raise ValueError(f"unknown tree class shape {self.shape!r}")
         if self.shape == "arity":
-            if not isinstance(self.arity, int) or self.arity < 1:
-                raise ValueError("arity classes need an arity of at least 1")
+            if not isinstance(self.arity, int) or not 1 <= self.arity <= MAX_ARITY:
+                raise ValueError(f"arity classes need an arity from 1 to {MAX_ARITY}, got {self.arity!r}")
         elif self.arity is not None:
             raise ValueError(f"{self.shape!r} classes take no arity")
         if self.shape == "omega" and self.mode == S4:
@@ -236,7 +242,7 @@ class LogicClass:
             return cls(mode, "finite")
         if tail == "omega":
             return cls(mode, "omega")
-        if tail.isdigit() and int(tail) >= 1:
+        if tail.isascii() and tail.isdigit() and int(tail) >= 1:
             return cls(mode, "arity", int(tail))
         raise ValueError(f"unknown logic class {text!r}")
 

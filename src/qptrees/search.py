@@ -19,6 +19,7 @@ from .formula import (
     INT,
     Formula,
     LanguageError,
+    NodeTable,
     OpenFormulaError,
     compile_formula,
     print_formula,
@@ -278,7 +279,7 @@ def _model_forests(bound: int, structures):
             yield models[s:s + per], Forest.of(models[s:s + per])
 
 
-def bounded_validity(f: Formula, bounds: SearchBounds, mode: str = INT) -> SearchOutcome:
+def bounded_validity(f: Formula | NodeTable, bounds: SearchBounds, mode: str = INT) -> SearchOutcome:
     """Search all structures of the bounded class for a countermodel to `f`.
 
     Returns the canonically least countermodel if one exists within the
@@ -295,7 +296,7 @@ def bounded_validity(f: Formula, bounds: SearchBounds, mode: str = INT) -> Searc
     table = compile_formula(f)
     if table.free:
         raise OpenFormulaError(
-            f"the search needs a closed formula, got {print_formula(f)!r}"
+            f"the search needs a closed formula, got {print_formula(table)!r}"
         )
     if mode == INT and table.modal:
         raise LanguageError("modal formulas need s4 mode")

@@ -1,11 +1,13 @@
 """Forcing and extensions for both logics.
 
 A formula is first compiled into its interned node table
-(`formula.compile_formula`), and evaluation computes the extension of each
-node bottom-up as a bit vector into one list indexed by node id.  A
-quantifier assigns each proposition to its renamed-apart variable and
-re-runs only its own schedule, so parts that do not use that variable are
-not re-evaluated in its loop, and no formula is hashed while evaluating.
+(`formula.compile_formula`, which returns a table unchanged, so `decide`
+compiles its text once and builds no syntax tree), and evaluation
+computes the extension of each node bottom-up as a bit vector into one
+list indexed by node id.  A quantifier assigns each proposition to its
+renamed-apart variable and re-runs only its own schedule, so parts that
+do not use that variable are not re-evaluated in its loop, and no formula
+is hashed while evaluating.
 
 Evaluation runs on a `kripke.Forest`: rooted structures side by side in
 one bit vector, a single model being a forest of one component.  The
@@ -82,10 +84,6 @@ class Extension:
     worlds: frozenset
 
 
-def _compiled(f: Formula | NodeTable) -> NodeTable:
-    return f if isinstance(f, NodeTable) else compile_formula(f)
-
-
 def _extension_mask(forest: Forest, t: NodeTable, s4: bool) -> int:
     val = dict(forest.valuation)
     for v in t.free:
@@ -151,7 +149,7 @@ def _extension_mask(forest: Forest, t: NodeTable, s4: bool) -> int:
 def forest_extension(forest: Forest, f: Formula | NodeTable, mode: str) -> int:
     """The extension of `f` on every component of `forest` at once, as a
     mask over the forest's worlds."""
-    mask = _extension_mask(forest, _compiled(f), s4=mode == S4)
+    mask = _extension_mask(forest, compile_formula(f), s4=mode == S4)
     if mode == INT and forest.down(forest.full & ~mask) & mask:
         raise AssertionError("intuitionistic extension not upward closed")
     return mask
@@ -160,7 +158,7 @@ def forest_extension(forest: Forest, f: Formula | NodeTable, mode: str) -> int:
 def _model_table(m: Model, f: Formula | NodeTable, mode: str) -> NodeTable:
     if m.mode != mode:
         raise ValueError(f"model is in {m.mode!r} mode, expected {mode!r}")
-    t = _compiled(f)
+    t = compile_formula(f)
     if mode == INT and t.modal:
         raise LanguageError("box/dia encountered in intuitionistic evaluation")
     return t

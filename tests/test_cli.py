@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from qptrees import cli
 from qptrees.cli import run
+from qptrees.embedding import t_embed
+from qptrees.formula import parse_formula, print_formula
 from qptrees.kripke import load_model
 from qptrees.semantics import validates
 from qptrees.suite import WEM_TO_LIN
@@ -373,15 +376,27 @@ def test_commands_get_the_namespace_the_top_level_parser_gives(diamond_file, mon
 
 def test_deep_nesting_is_a_clean_error(capsys):
     deep = "~" * 3000 + "bot"
+    # the evaluator recurses once per quantifier in the scope of another
+    names = [f"q{i}" for i in range(3000)]
+    nested = "".join(f"forall {q} " for q in names) + "(" + " & ".join(names) + ")"
     for argv in (
         ["embed", "--formula", deep],
-        ["decide", "--formula", deep, "--class", "finite-trees", "--max", "2"],
+        ["decide", "--formula", nested, "--class", "finite-trees", "--max", "2"],
         # deep enough to fail only after the formula itself has been printed
         ["translate", "--formula", "~" * 300 + "bot", "--class", "qpHt"],
-        ["embed", "--formula", "~" * 600 + "bot"],
+        ["embed", "--formula", "~" * 1200 + "bot"],
     ):
         assert run(argv) == 2
         assert capsys.readouterr().out == "ERROR: input is nested too deeply\n"
+
+
+def test_embed_with_600_negations(capsys):
+    # t_embed recurses once per negation, and parsing and printing not at all
+    formula = "~" * 600 + "bot"
+    assert run(["embed", "--formula", formula]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"FORMULA: {formula}"
+    assert out[1] == f"EMBEDDED: {print_formula(t_embed(parse_formula(formula)))}"
 
 
 def test_decide_with_600_negations(capsys):
@@ -391,3 +406,42 @@ def test_decide_with_600_negations(capsys):
     assert code == 1
     assert "OUTCOME: countermodel" in out
     assert out.splitlines()[-1].startswith("COUNTERMODEL: ")
+
+
+def test_decide_with_3000_negations(capsys):
+    # neither parsing, compiling, printing nor evaluating recurses per negation
+    formula = "~" * 3000 + "bot"
+    code = run(["decide", "--formula", formula, "--class", "finite-trees", "--max", "2"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[0] == f"FORMULA: {formula}"
+    assert out[-2:] == ["OUTCOME: countermodel",
+                        'COUNTERMODEL: {"kind":"tree","worlds":[[]],"valuation":{},"mode":"int"}']
+
+
+def test_decide_of_bot_in_400_parentheses(capsys):
+    text = "(" * 400 + "bot" + ")" * 400
+    assert run(["decide", "--formula", text, "--class", "finite-trees", "--max", "3"]) == 1
+    assert capsys.readouterr().out.splitlines()[:2] == ["FORMULA: bot", "CLASS: finite-trees"]
+
+
+@pytest.mark.parametrize("cls, message", [
+    ("qpHt-43", "ERROR: arity classes need an arity from 1 to 32, got 43"),
+    ("s4t-20000", "ERROR: arity classes need an arity from 1 to 32, got 20000"),
+    ("qpHt-\u0663", "ERROR: unknown logic class 'qpHt-\u0663'"),  # an Arabic-Indic three
+    ("qpHt-\u00b3", "ERROR: unknown logic class 'qpHt-\u00b3'"),  # a superscript three
+])
+def test_translate_refuses_large_and_non_ascii_arities(capsys, cls, message):
+    start = time.perf_counter()
+    assert run(["translate", "--formula", "bot -> bot", "--class", cls]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == message + "\n"
+
+
+@pytest.mark.parametrize("cls", ["qpHt-32", "s4t-32"])
+def test_translate_at_the_largest_arity(capsys, cls):
+    assert run(["translate", "--formula", "forall p (p | ~p)", "--class", cls]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == f"CLASS: {cls}"
+    assert out[2].startswith("MSO: all2 T: ")
+    assert "ex1 y32: " in out[2] and out[2].count("~y") == 32 * 31 // 2  # each pair distinct

@@ -212,9 +212,9 @@ def test_compile_free_variable_tuples():
     t = compile_formula(parse_formula("forall p (r & (q | p) & exists p ~p)"))
     assert t.free == ("q", "r")
     assert t.ops[t.root] == FORALL
-    # binders are renamed apart by their preorder numbers; free names stay
-    assert [a[0] for op, a in zip(t.ops, t.args) if op in (FORALL, EXISTS)] == ["p#2", "p#0"]
-    assert {a for op, a in zip(t.ops, t.args) if op == VAR} == {"r", "q", "p#0", "p#2"}
+    # binders are renamed apart in text order; free names stay
+    assert [a[0] for op, a in zip(t.ops, t.args) if op in (FORALL, EXISTS)] == ["p#1", "p#0"]
+    assert {a for op, a in zip(t.ops, t.args) if op == VAR} == {"r", "q", "p#0", "p#1"}
 
 
 def naive_free(f):
@@ -271,10 +271,10 @@ def test_compile_hoists_closed_quantifiers_to_the_top_schedule():
     t = compile_formula(parse_formula("forall p (p | ~p | forall q (q | ~q))"))
     assert [t.ops[i] for i in t.top] == [BOT, FORALL, FORALL]
     inner, outer = t.top[1:]
-    assert t.args[inner][0] == "q#2" and t.args[outer][0] == "p#0"
+    assert t.args[inner][0] == "q#1" and t.args[outer][0] == "p#0"
     assert inner not in t.schedules[outer]
     assert t.schedules[outer][-1] == t.args[outer][1]
-    assert [t.args[i] for i in t.schedules[inner] if t.ops[i] == VAR] == ["q#2"]
+    assert [t.args[i] for i in t.schedules[inner] if t.ops[i] == VAR] == ["q#1"]
 
 
 def test_compile_rejects_non_formula_nodes():

@@ -1,0 +1,97 @@
+"""Property tests on arbitrary text, under a derandomized hypothesis
+profile with no example database, so every run tries the same inputs: the
+parser fails only in its own two ways, printing round-trips, a text
+compiles to the table of its tree, and `decide` always ends in a
+`KEY: value` line with exit 0, 1 or 2, the same bytes each time."""
+
+import contextlib
+import io
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qptrees.cli import run
+from qptrees.formula import (
+    INT,
+    S4,
+    FormulaSyntaxError,
+    LanguageError,
+    compile_formula,
+    parse_formula,
+    print_formula,
+)
+
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=200)
+TIER1 = settings.get_profile("tier1")
+
+PIECES = ("p", "q", "r", "p_2", "bot", "forall", "exists", "box", "dia", "(", ")", "&", "|",
+          "->", "~", " ", " ", "\t", "\n", "-", ">", "$", "é", "P", "1")
+# texts that are well formed, but for `box` and `dia` in the int language
+WELL_FORMED = st.recursive(
+    st.sampled_from(("p", "q", "r", "bot")),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(("&", "|", "->")), inner).map(lambda t: "(%s %s %s)" % t),
+        st.tuples(st.sampled_from(("~", "box ", "dia ", "forall p ", "exists q ")), inner).map("".join),
+    ),
+    max_leaves=8,
+)
+ANY = st.one_of(
+    st.lists(st.sampled_from(PIECES), max_size=24).map("".join),
+    st.lists(st.sampled_from(PIECES), max_size=16).map(" ".join),
+    st.text(max_size=20),
+)
+TEXTS = st.booleans().flatmap(lambda well_formed: WELL_FORMED if well_formed else ANY)
+LANGS = st.sampled_from((INT, S4))
+TABLE_FIELDS = ("ops", "args", "free", "fixed", "top", "schedules")
+
+
+def parsed(text, lang):
+    try:
+        return parse_formula(text, lang)
+    except (FormulaSyntaxError, LanguageError):
+        return None
+
+
+@TIER1
+@given(TEXTS, LANGS)
+def test_parse_returns_or_raises_a_formula_error(text, lang):
+    parsed(text, lang)  # anything but these two errors escapes and fails
+
+
+@TIER1
+@given(TEXTS, LANGS)
+def test_print_and_parse_round_trip(text, lang):
+    f = parsed(text, lang)
+    if f is not None:
+        shown = print_formula(f)
+        assert parse_formula(shown, lang) == f
+        assert print_formula(compile_formula(text, lang)) == shown
+
+
+@TIER1
+@given(TEXTS, LANGS)
+def test_text_compiles_to_the_table_of_its_tree(text, lang):
+    f = parsed(text, lang)
+    if f is not None:
+        table, reference = compile_formula(text, lang), compile_formula(f)
+        for field in TABLE_FIELDS:
+            assert getattr(table, field) == getattr(reference, field)
+
+
+def decide(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["decide", "--formula", text, "--class", "finite-trees", "--max", "2"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(TIER1, max_examples=100)
+@given(TEXTS)
+def test_decide_always_answers_the_same(text):
+    first = decide(text)
+    code, out, _ = first
+    assert code in (0, 1, 2)
+    assert out.endswith("\n")
+    assert re.fullmatch(r"[A-Z][A-Z-]*: .*", out[:-1].split("\n")[-1])
+    assert decide(text) == first

@@ -212,9 +212,12 @@ def test_fresh_variables_never_rebound_on_a_path():
 def test_logic_class_parsing_and_names():
     assert str(LogicClass.parse("qpHt-2")) == "qpHt-2"
     assert LogicClass.parse("s4t-fin").mode == S4
-    for bad in ("qpHt-0", "s4t-omega", "qpH", "qpHt-"):
+    for bad in ("qpHt-0", "s4t-omega", "qpH", "qpHt-", "qpHt-33", "s4t-\u0663", "qpHt-\u00b3"):
         with pytest.raises(ValueError):
             LogicClass.parse(bad)
+    assert LogicClass.parse("s4t-32") == LogicClass(S4, "arity", 32)
+    with pytest.raises(ValueError, match="from 1 to 32"):
+        LogicClass(INT, "arity", 33)
 
 
 def test_golden_sentences():
