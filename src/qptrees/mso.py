@@ -14,8 +14,10 @@ the sets standing in for intuitionistic propositions is imposed by the
 guard the translation itself emits, not by the evaluator, which keeps this
 module independent of the forcing semantics it is used to cross-check.
 Each call compiles the formula into closures over node indices and
-bitmask sets; the prefix, immediate-successor and lexicographic relations
-are read off the model's words, never off the model's own order.
+bitmask sets: an innermost individual quantifier is one mask test, a
+guarded one loops over its guard's mask only, and set quantifiers still
+try every subset.  The prefix, immediate-successor and lexicographic
+relations are read off the model's words, never off the model's order.
 
 Emitted text (stable, single line)::
 
@@ -34,7 +36,6 @@ unless it is an atom, a negation, or another quantifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 
 from .formula import (
@@ -242,8 +243,11 @@ class LogicClass:
             return cls(mode, "finite")
         if tail == "omega":
             return cls(mode, "omega")
-        if tail.isascii() and tail.isdigit() and int(tail) >= 1:
-            return cls(mode, "arity", int(tail))
+        digits = tail.lstrip("0")
+        if tail.isascii() and tail.isdigit() and digits:
+            if len(digits) > len(str(MAX_ARITY)):  # int() refuses long digit strings
+                raise ValueError(f"arity classes need an arity from 1 to {MAX_ARITY}, got {digits}")
+            return cls(mode, "arity", int(digits))
         raise ValueError(f"unknown logic class {text!r}")
 
 
@@ -455,13 +459,14 @@ _ATOMS = (Member, Subset, PrefixLe, ImmediateLe, LexLe, NodeEq)
 class _Nodes:
     """The nodes one evaluation can name, by index: the domain's worlds
     first, in their sorted order, then each word outside the domain that the
-    environment mentions.  The relations are read off the words, once per
-    evaluation and only for the atoms that occur, as per-node masks."""
+    environment mentions.  A relation R that an atom uses is read off the
+    words once per call: `below[j]` masks the i with i R j, `above[i]` the j."""
 
     def __init__(self, worlds):
         self.words = list(worlds)
         self.size = len(self.words)  # the domain is indices 0 .. size-1
         self.index = {w: i for i, w in enumerate(self.words)}
+        self.tables = {}
 
     def add(self, word) -> int:
         i = self.index.setdefault(word, len(self.words))
@@ -469,32 +474,26 @@ class _Nodes:
             self.words.append(word)
         return i
 
-    @cached_property
-    def parent(self) -> list[int]:
-        """Per node, the node that is its word minus the last letter, or -1."""
-        return [self.index.get(w[:-1], -1) if w else -1 for w in self.words]
-
-    @cached_property
-    def prefixes(self) -> list[int]:
-        """Per node, the mask of the nodes whose words are prefixes of its own."""
-        words, parent = self.words, self.parent
-        masks = [0] * len(words)
-        for j in sorted(range(len(words)), key=lambda j: len(words[j])):
-            if parent[j] >= 0:
-                masks[j] = masks[parent[j]] | 1 << j
-            else:  # the root, or a word outside the domain
-                w = words[j]
-                masks[j] = sum(1 << i for i, v in enumerate(words) if w[: len(v)] == v)
-        return masks
-
-    @cached_property
-    def lex_below(self) -> list[int]:
-        """Per node, the mask of the nodes lexicographically at or below it."""
-        masks, acc = [0] * len(self.words), 0
-        for j in sorted(range(len(self.words)), key=self.words.__getitem__):
-            acc |= 1 << j
-            masks[j] = acc
-        return masks
+    def relation(self, kind) -> tuple[list[int], list[int]]:
+        """The tables (below, above) of the relation named by the atom class `kind`."""
+        if kind not in self.tables:
+            words, n = self.words, len(self.words)
+            order = sorted(range(n), key=words.__getitem__)  # each word after its prefixes
+            links = list(zip(order[1:], order)) if kind is LexLe else []  # (j, i): i R j, nothing between
+            for j in order if kind in (PrefixLe, ImmediateLe) else ():
+                w, k = words[j], len(words[j]) - 1
+                while k >= 0 and w[:k] not in self.index:  # the longest proper prefix that is a node
+                    k -= 1
+                if k >= 0 and (kind is PrefixLe or k == len(w) - 1):
+                    links.append((j, self.index[w[:k]]))
+            closed = kind is not ImmediateLe  # reflexive and transitive: follow the links
+            below, above = [closed << j for j in range(n)], [closed << j for j in range(n)]
+            for j, i in links:
+                below[j] |= below[i] if closed else 1 << i
+            for j, i in reversed(links):
+                above[i] |= above[j] if closed else 1 << j
+            self.tables[kind] = below, above
+        return self.tables[kind]
 
 
 def _operands(g, scope: dict) -> tuple[list[int] | None, str | None]:
@@ -520,9 +519,24 @@ def _operands(g, scope: dict) -> tuple[list[int] | None, str | None]:
     return slots, None
 
 
-def _compile(g: MsoFormula, scope: dict, s: list, nodes: _Nodes):
-    """A closure that evaluates `g` with its variables read from the slot
-    list `s`; `scope` maps each variable in scope to its kind and slot."""
+def _join(kind, left, right, s: list, k):
+    """Compile a binary connective over two compiled operands: bitwise when
+    both are masks, else short-circuited as the reference walk is."""
+    (l, lvec), (r, rvec) = left, right
+    if lvec and rvec:
+        return ((lambda: l() & r()) if kind is Conj else (lambda: l() | r()) if kind is Disj
+                else (lambda: ~l() | r())), True
+    if lvec or rvec:  # a mask operand gives its bit at s[k]
+        l, r = [(lambda run=run: run() >> s[k] & 1) if vec else run for run, vec in (left, right)]
+    return ((lambda: l() and r()) if kind is Conj else (lambda: l() or r()) if kind is Disj
+            else (lambda: not l() or r())), False
+
+
+def _compile(g: MsoFormula, scope: dict, s: list, nodes: _Nodes, k):
+    """Compile `g` to a closure over the slot list `s` (`scope` maps each
+    variable to its kind and slot) and say whether it is vector-valued: in
+    the scope of individual slot `k`, a subformula with no quantifier and no
+    failing atom gives the mask of the values of s[k] where it holds, never reading s[k]."""
     if isinstance(g, _ATOMS):
         slots, error = _operands(g, scope)
         if error is not None:
@@ -530,60 +544,69 @@ def _compile(g: MsoFormula, scope: dict, s: list, nodes: _Nodes):
             def fail():
                 raise UnboundVariableError(error)
 
-            return fail
+            return fail, False
         a, b = slots
-        if isinstance(g, Member):
-            return lambda: s[b] >> s[a] & 1
         if isinstance(g, Subset):
-            return lambda: not s[a] & ~s[b]
-        if isinstance(g, PrefixLe):
-            prefixes = nodes.prefixes
-            return lambda: prefixes[s[b]] >> s[a] & 1
-        if isinstance(g, ImmediateLe):
-            parent = nodes.parent
-            return lambda: parent[s[b]] == s[a]
-        if isinstance(g, LexLe):
-            lex_below = nodes.lex_below
-            return lambda: lex_below[s[b]] >> s[a] & 1
-        return lambda: s[a] == s[b]  # NodeEq: distinct nodes have distinct words
+            test = lambda: not s[a] & ~s[b]
+        elif isinstance(g, Member):
+            if a == k:
+                return (lambda: s[b]), True
+            test = lambda: s[b] >> s[a] & 1
+        else:
+            below, above = nodes.relation(type(g))
+            if a == k == b:
+                diagonal = -(below[0] & 1)  # each relation is reflexive or irreflexive
+                return (lambda: diagonal), True
+            if a == k:
+                return (lambda: below[s[b]]), True
+            if b == k:
+                return (lambda: above[s[a]]), True
+            test = lambda: below[s[b]] >> s[a] & 1
+        return (test, False) if k is None else ((lambda: -test()), True)
     if isinstance(g, Falsum):
-        return lambda: False
+        return (lambda: 0), k is not None
     if isinstance(g, (Conj, Disj, Impl)):
-        left = _compile(g.left, scope, s, nodes)
-        right = _compile(g.right, scope, s, nodes)
-        if isinstance(g, Conj):
-            return lambda: left() and right()
-        if isinstance(g, Disj):
-            return lambda: left() or right()
-        return lambda: not left() or right()
+        left = _compile(g.left, scope, s, nodes, k)
+        return _join(type(g), left, _compile(g.right, scope, s, nodes, k), s, k)
     if isinstance(g, Neg):
-        body = _compile(g.body, scope, s, nodes)
-        return lambda: not body()
-    if isinstance(g, (All1, Ex1, All2, Ex2)):
-        kind = _NODE if isinstance(g, (All1, Ex1)) else _SET
-        values = range(nodes.size) if kind is _NODE else range(1 << nodes.size)
-        k = len(s)
-        s.append(0)
-        body = _compile(g.body, {**scope, g.var: (kind, k)}, s, nodes)
-        if isinstance(g, (All1, All2)):
-            def every():
-                for v in values:
-                    s[k] = v
-                    if not body():
-                        return False
-                return True
+        body, vec = _compile(g.body, scope, s, nodes, k)
+        return ((lambda: ~body()), True) if vec else ((lambda: not body()), False)
+    if not isinstance(g, (All1, Ex1, All2, Ex2)):
+        raise TypeError(f"not a second-order formula node: {g!r}")
+    every, j, guard = isinstance(g, (All1, All2)), len(s), None
+    s.append(0)
+    if isinstance(g, (All2, Ex2)):
+        body, vec = _compile(g.body, {**scope, g.var: (_SET, j)}, s, nodes, None)
+        values = range(1 << nodes.size)
+    else:
+        # The leading mask-valued antecedents of all1, or conjuncts of ex1,
+        # give the mask of the worlds the loop visits.
+        scope, joint, h = {**scope, g.var: (_NODE, j)}, (Impl if every else Conj), g.body
+        while isinstance(h, joint):
+            left = _compile(h.left, scope, s, nodes, j)
+            if not left[1]:
+                body, vec = _join(joint, left, _compile(h.right, scope, s, nodes, j), s, j)
+                break
+            guard = left if guard is None else _join(Conj, guard, left, s, j)
+            h = h.right
+        else:
+            body, vec = _compile(h, scope, s, nodes, j)
+        values, full = range(nodes.size), (1 << nodes.size) - 1
+    domain = guard[0] if guard else (lambda: -1)
+    if vec:  # the whole body is one mask
+        return ((lambda: not full & domain() & ~body()) if every
+                else (lambda: full & domain() & body() != 0)), False
 
-            return every
+    def each():
+        d = domain()
+        for v in values:
+            if d >> v & 1:
+                s[j] = v
+                if (not body()) is every:  # a counterexample to all, a witness to ex
+                    return not every
+        return every
 
-        def some():
-            for v in values:
-                s[k] = v
-                if body():
-                    return True
-            return False
-
-        return some
-    raise TypeError(f"not a second-order formula node: {g!r}")
+    return each, False
 
 
 def eval_finite(f: MsoFormula, domain: Model, env: dict) -> bool:
@@ -599,7 +622,9 @@ def eval_finite(f: MsoFormula, domain: Model, env: dict) -> bool:
     per variable: a node is held as its index in the sorted worlds and a set
     as a bitmask over them.  Words in `env` outside the domain get indices
     of their own after the worlds, so they compare as words but are never
-    the value of a quantified variable.
+    the value of a quantified variable.  Inside an individual quantifier, a
+    subformula with no quantifier and no unbound variable is a mask of
+    worlds: the quantifier is one mask test, or runs over its guards' mask.
     """
     if domain.kind != "tree":
         raise ValueError("finite evaluation is defined over tree models")
@@ -620,4 +645,4 @@ def eval_finite(f: MsoFormula, domain: Model, env: dict) -> bool:
             raise ValueError(
                 f"environment entry {name!r} must be a node (tuple) or a set of nodes"
             )
-    return bool(_compile(f, scope, s, nodes)())
+    return bool(_compile(f, scope, s, nodes, None)[0]())

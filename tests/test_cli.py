@@ -428,6 +428,8 @@ def test_decide_of_bot_in_400_parentheses(capsys):
 @pytest.mark.parametrize("cls, message", [
     ("qpHt-43", "ERROR: arity classes need an arity from 1 to 32, got 43"),
     ("s4t-20000", "ERROR: arity classes need an arity from 1 to 32, got 20000"),
+    pytest.param("qpHt-" + "9" * 5000, "ERROR: arity classes need an arity from 1 to 32, got " + "9" * 5000,
+                 id="5000-nines"),  # more digits than int() accepts
     ("qpHt-\u0663", "ERROR: unknown logic class 'qpHt-\u0663'"),  # an Arabic-Indic three
     ("qpHt-\u00b3", "ERROR: unknown logic class 'qpHt-\u00b3'"),  # a superscript three
 ])

@@ -1,8 +1,9 @@
-"""Property tests on arbitrary text, under a derandomized hypothesis
+"""Property tests on arbitrary input, under a derandomized hypothesis
 profile with no example database, so every run tries the same inputs: the
 parser fails only in its own two ways, printing round-trips, a text
-compiles to the table of its tree, and `decide` always ends in a
-`KEY: value` line with exit 0, 1 or 2, the same bytes each time."""
+compiles to the table of its tree, `decide` always ends in a
+`KEY: value` line with exit 0, 1 or 2, the same bytes each time, and
+`eval_finite` agrees with the reference walker on any MSO formula."""
 
 import contextlib
 import io
@@ -11,16 +12,38 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mso_reader import reference_eval_finite
 from qptrees.cli import run
 from qptrees.formula import (
     INT,
     S4,
     FormulaSyntaxError,
     LanguageError,
+    UnboundVariableError,
     compile_formula,
     parse_formula,
     print_formula,
 )
+from qptrees.mso import (
+    ROOT,
+    All1,
+    All2,
+    Conj,
+    Disj,
+    Ex1,
+    Ex2,
+    Falsum,
+    ImmediateLe,
+    Impl,
+    LexLe,
+    Member,
+    Neg,
+    NodeEq,
+    PrefixLe,
+    Subset,
+    eval_finite,
+)
+from qptrees.search import enumerate_trees
 
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=200)
 TIER1 = settings.get_profile("tier1")
@@ -95,3 +118,54 @@ def test_decide_always_answers_the_same(text):
     assert out.endswith("\n")
     assert re.fullmatch(r"[A-Z][A-Z-]*: .*", out[:-1].split("\n")[-1])
     assert decide(text) == first
+
+
+# MSO formulas of all 15 node kinds over a few names, and environments that
+# bind some of them to nodes or sets of nodes, in the domain or outside it.
+# Each position mostly draws a name of its own kind, so that many formulas
+# have a value, but names also end up unbound, of the wrong kind, or
+# shadowed by a binder of either kind.
+NODE_NAMES = st.sampled_from(("x", "y", "y", ROOT, "X"))
+SET_NAMES = st.sampled_from(("X", "Y", "Y", "x"))
+MSO_FORMULAS = st.recursive(
+    st.one_of(
+        st.just(Falsum()),
+        st.builds(Member, NODE_NAMES, SET_NAMES),
+        st.builds(Subset, SET_NAMES, SET_NAMES),
+        *(st.builds(atom, NODE_NAMES, NODE_NAMES) for atom in (PrefixLe, ImmediateLe, LexLe, NodeEq)),
+    ),
+    lambda inner: st.one_of(
+        *(st.builds(connective, inner, inner) for connective in (Conj, Disj, Impl)),
+        st.builds(Neg, inner),
+        st.builds(All1, NODE_NAMES, inner),
+        st.builds(Ex1, NODE_NAMES, inner),
+        st.builds(All2, SET_NAMES, inner),
+        st.builds(Ex2, SET_NAMES, inner),
+    ),
+    max_leaves=8,
+)
+TREES = [m for n in range(1, 6) for m in enumerate_trees(n)]
+
+
+@st.composite
+def domains_and_envs(draw):
+    m = draw(st.sampled_from(TREES))
+    nodes = st.one_of(st.sampled_from(m.worlds), st.lists(st.integers(0, 2), max_size=3).map(tuple))
+    sets = st.frozensets(nodes, max_size=4)
+    either = st.one_of(nodes, sets)
+    env = st.fixed_dictionaries({"x": nodes, "X": sets}, optional={"y": either, "Y": either, ROOT: either})
+    return m, draw(env)
+
+
+def eval_outcome(evaluate, f, m, env):
+    try:
+        return evaluate(f, m, env)
+    except UnboundVariableError as e:
+        return f"UnboundVariableError: {e}"
+
+
+@TIER1
+@given(MSO_FORMULAS, domains_and_envs())
+def test_eval_finite_agrees_with_the_reference_walker(f, case):
+    m, env = case
+    assert eval_outcome(eval_finite, f, m, env) == eval_outcome(reference_eval_finite, f, m, env)

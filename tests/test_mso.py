@@ -33,6 +33,7 @@ from qptrees.mso import (
     PrefixLe,
     ROOT,
     Subset,
+    _Nodes,
     build_predicate,
     emit,
     eval_finite,
@@ -216,6 +217,7 @@ def test_logic_class_parsing_and_names():
         with pytest.raises(ValueError):
             LogicClass.parse(bad)
     assert LogicClass.parse("s4t-32") == LogicClass(S4, "arity", 32)
+    assert LogicClass.parse("qpHt-0032") == LogicClass(INT, "arity", 32)
     with pytest.raises(ValueError, match="from 1 to 32"):
         LogicClass(INT, "arity", 33)
 
@@ -363,12 +365,14 @@ def random_subset(rng, worlds):
 
 def test_compiled_evaluator_matches_reference_on_translations():
     rng = random.Random(20261018)
-    for m in SMALL_TREES:
+    # a random T up to 4 worlds; on 5, T is the whole domain, as in the benchmark
+    cases = [(m, 25, False) for m in SMALL_TREES] + [(m, 8, True) for m in enumerate_trees(5)]
+    for m, count, whole in cases:
         for mode in (INT, S4):
-            for _ in range(25):
+            for _ in range(count):
                 f = random_formula(rng, 3, lang=mode, scope=("p", "q"), quantifiers=2)
                 t = translate_at(f, "x", mode)
-                env = {"T": random_subset(rng, m.worlds) | {m.root},
+                env = {"T": set(m.worlds) if whole else random_subset(rng, m.worlds) | {m.root},
                        "X_p": random_subset(rng, m.worlds),
                        "X_q": random_subset(rng, m.worlds)}
                 for h in m.worlds:
@@ -433,6 +437,44 @@ def test_eval_unbound_only_when_reached():
     # the first operand's error comes first
     with pytest.raises(UnboundVariableError, match="'x'"):
         eval_finite(Member("x", "X"), m, {})
+
+
+def test_eval_unbound_only_when_reached_in_quantifier_scopes():
+    m = chain(3)  # worlds (), (0,), (0, 0), in this order
+    env = {"E": set(), "G": {(), (0,)}}
+    # the guard is false at every world
+    for f in (All1("y", Impl(Member("y", "E"), Member("y", "U"))),
+              Ex1("y", Conj(Member("y", "E"), Member("y", "U")))):
+        assert eval_finite(f, m, env) is isinstance(f, All1)
+        assert_agrees(f, m, env)
+    # the loop ends at the root, before the world where `U` would be read
+    for f in (All1("y", Impl(Member("y", "G"), Conj(Neg(NodeEq("y", ROOT)), Member("y", "U")))),
+              Ex1("y", Conj(Member("y", "G"), Disj(NodeEq("y", ROOT), Member("y", "U"))))):
+        assert eval_finite(f, m, env) is isinstance(f, Ex1)
+        assert_agrees(f, m, env)
+    # the guard holds at (0,), where `U` is read
+    for f in (All1("y", Impl(Member("y", "G"), Disj(NodeEq("y", ROOT), Member("y", "U")))),
+              Ex1("y", Conj(Member("y", "G"), Conj(Neg(NodeEq("y", ROOT)), Member("y", "U"))))):
+        with pytest.raises(UnboundVariableError, match="unbound set variable 'U'"):
+            eval_finite(f, m, env)
+        assert_agrees(f, m, env)
+
+
+def test_relation_tables_follow_the_word_definitions():
+    m = Model.tree([(), (0,), (1,), (0, 0), (0, 1)])
+    nodes = _Nodes(m.worlds)
+    for word in ((0, 0, 0), (2,), (3, 4), (1, 0, 0), (0, 1)):  # all but (0, 1) outside the domain
+        nodes.add(word)
+    words = nodes.words
+    assert len(words) == 9
+    for atom in (PrefixLe, ImmediateLe, LexLe, NodeEq):
+        below, above = nodes.relation(atom)
+        assert len(below) == len(above) == len(words)
+        for i, v in enumerate(words):
+            for j, w in enumerate(words):
+                holds = reference_eval_finite(atom("a", "b"), m, {"a": v, "b": w})
+                assert below[j] >> i & 1 == above[i] >> j & 1 == holds, (atom, v, w)
+        assert all(mask >> len(words) == 0 for mask in below + above)
 
 
 def test_eval_binders_shadow():

@@ -3,7 +3,8 @@
 `mso.eval_finite` cross-checks the forcing semantics, and Goedel
 evaluation cross-checks it on chains, so neither may reach into the
 semantics, the search, the embedding, or the order and proposition
-machinery inside `Model`.
+machinery inside `Model`: `eval_finite` reads a model's kind, worlds and
+root, and nothing else.
 """
 
 import ast
@@ -11,7 +12,10 @@ from pathlib import Path
 
 import qptrees.godel
 import qptrees.mso
+from qptrees.formula import INT, S4, parse_formula
 from qptrees.kripke import Model
+from qptrees.mso import LogicClass, build_predicate, eval_finite, translate_at, validity_sentence
+from qptrees.search import enumerate_trees
 
 CHECKED = {"semantics", "search", "embedding"}
 
@@ -43,6 +47,31 @@ def test_mso_touches_no_private_model_attribute():
         if isinstance(node, ast.Attribute)
     }
     assert not used & private
+
+
+class ReadRecorder:
+    """A model that records the names of the attributes read off it."""
+
+    def __init__(self, model):
+        self.model, self.read = model, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.model, name)
+
+
+def test_eval_finite_reads_only_kind_worlds_and_root_off_the_model():
+    wem_lin = parse_formula("forall p (~p | ~~p) -> forall p forall q ((p -> q) | (q -> p))")
+    formulas = [translate_at(wem_lin, "x", INT), translate_at(parse_formula("dia box p", S4), "x", S4)]
+    formulas += [validity_sentence(wem_lin, LogicClass.parse(c)) for c in ("qpHt-2", "qpHt-fin")]
+    formulas += [build_predicate(kind, "T") for kind in ("tree", "upward-closed", "finite")]
+    for m in enumerate_trees(4):
+        env = {"T": set(m.worlds), "X_p": {m.root}, "x": m.root}
+        recorder = ReadRecorder(m)
+        for f in formulas:
+            eval_finite(f, recorder, env)
+        assert "worlds" in recorder.read
+        assert recorder.read <= {"kind", "worlds", "root"}
 
 
 def test_godel_evaluation_never_calls_semantics():
