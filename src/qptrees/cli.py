@@ -142,44 +142,91 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each command keeps its options, all single-value `store` actions, as
+    # `options` for `_read_plain`.
     p = sub.add_parser("check", help="evaluate a formula over a model file")
-    p.add_argument("--model", required=True, help="path to a model JSON file")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--world", help="evaluate here instead of at the root")
+    p.options = (
+        p.add_argument("--model", required=True, help="path to a model JSON file"),
+        p.add_argument("--formula", required=True),
+        p.add_argument("--world", help="evaluate here instead of at the root"),
+    )
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("decide", help="bounded countermodel search")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--class", dest="cls", required=True, choices=STRUCTURE_CLASSES)
-    p.add_argument("--max", type=int, required=True, help="largest world count")
-    p.add_argument("--mode", choices=("int", "s4"), default="int")
+    p.options = (
+        p.add_argument("--formula", required=True),
+        p.add_argument("--class", dest="cls", required=True, choices=STRUCTURE_CLASSES),
+        p.add_argument("--max", type=int, required=True, help="largest world count"),
+        p.add_argument("--mode", choices=("int", "s4"), default="int"),
+    )
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("translate", help="emit the second-order validity sentence")
-    p.add_argument("--formula", required=True)
-    p.add_argument(
-        "--class",
-        dest="cls",
-        required=True,
-        help="qpHt, qpHt-fin, qpHt-omega, qpHt-N, s4t, s4t-fin, or s4t-N",
+    p.options = (
+        p.add_argument("--formula", required=True),
+        p.add_argument(
+            "--class",
+            dest="cls",
+            required=True,
+            help="qpHt, qpHt-fin, qpHt-omega, qpHt-N, s4t, s4t-fin, or s4t-N",
+        ),
     )
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("embed", help="translate into S4 by guarding with box")
-    p.add_argument("--formula", required=True)
+    p.options = (p.add_argument("--formula", required=True),)
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("godel", help="evaluate over a finite truth-value set")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--values", required=True, help='e.g. "0,1/3,1/2,1"')
-    p.add_argument("--valuation", help='e.g. "p=1/2,q=0"; omit to test tautology')
+    p.options = (
+        p.add_argument("--formula", required=True),
+        p.add_argument("--values", required=True, help='e.g. "0,1/3,1/2,1"'),
+        p.add_argument("--valuation", help='e.g. "p=1/2,q=0"; omit to test tautology'),
+    )
     p.set_defaults(func=_cmd_godel)
 
     p = sub.add_parser("examples", help="re-run the packaged separation suite")
+    p.options = ()
     p.set_defaults(func=_cmd_examples)
 
     parser.commands = sub.choices  # name -> the command's own parser
     return parser
+
+
+def _read_plain(command, args) -> dict | None:
+    """The values `command`'s parser reads from `args` when `args` is
+    nothing but `--option value` pairs over the full strings of its
+    `options`, each at most once, with no value starting with "-" and none
+    that argparse would refuse; None for any other `args`.
+
+    Each value goes through its action's own `type` and `choices`, an
+    absent option gets its `default`, and `func` is the command's."""
+    if not all(isinstance(a, str) for a in args):
+        return None
+    given = dict(zip(args[::2], args[1::2]))
+    if 2 * len(given) != len(args):  # an odd count, or an option given twice
+        return None
+    values = {}
+    for action in command.options:
+        text = given.pop(action.option_strings[-1], None)
+        if text is None:
+            if action.required:
+                return None
+            values[action.dest] = action.default
+            continue
+        if text[:1] == "-":
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if given:  # an unknown or abbreviated option, `--opt=value`, `-h` or `--`
+        return None
+    values["func"] = command.get_default("func")
+    return values
 
 
 _parser = None  # built on the first run, not at import
@@ -190,11 +237,16 @@ def run(argv) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        # A known command's argv goes straight to its own parser, read once,
-        # into the top-level parser's namespace; leftovers get its usage line.
+        # A known command's plain `--option value` pairs are read straight
+        # off its own options.  Any other argv of a known command goes to
+        # that command's parser, read once, into the top-level parser's
+        # namespace; leftovers get its usage line.  argparse alone prints
+        # help and usage errors, and reads an unknown command.
         command = _parser.commands.get(argv[0]) if argv else None
         if command is None:
             ns = _parser.parse_args(argv)
+        elif (values := _read_plain(command, argv[1:])) is not None:
+            ns = argparse.Namespace(command=argv[0], **values)
         else:
             ns, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
             if extra:

@@ -49,17 +49,27 @@ from .semantics import validates
 
 ONE = Fraction(1)
 
-TruthValueSet = tuple  # strictly sorted tuple of Fractions with 0 and 1
+
+class TruthValueSet(tuple):
+    """A finite truth-value set: a strictly sorted tuple of Fractions with 0
+    and 1.  Making one validates and sorts the values, strings going through
+    `parse_truth_value`; being a tuple, it stays valid."""
+
+    __slots__ = ()
+
+    def __new__(cls, values: Iterable):
+        vs = sorted({parse_truth_value(v) if isinstance(v, str) else Fraction(v) for v in values})
+        if any(v < 0 or v > 1 for v in vs):
+            raise ValueError("truth values must lie in [0, 1]")
+        if not vs or vs[0] != 0 or vs[-1] != 1:
+            raise ValueError("a truth-value set must contain 0 and 1")
+        return super().__new__(cls, vs)
 
 
 def make_truth_values(values: Iterable) -> TruthValueSet:
-    """Validate and sort a finite truth-value set; strings go through `parse_truth_value`."""
-    vs = sorted({parse_truth_value(v) if isinstance(v, str) else Fraction(v) for v in values})
-    if any(v < 0 or v > 1 for v in vs):
-        raise ValueError("truth values must lie in [0, 1]")
-    if not vs or vs[0] != 0 or vs[-1] != 1:
-        raise ValueError("a truth-value set must contain 0 and 1")
-    return tuple(vs)
+    """Validate and sort a finite truth-value set; a `TruthValueSet` is
+    already valid and comes back unchanged, so each set is checked once."""
+    return values if type(values) is TruthValueSet else TruthValueSet(values)
 
 
 # No exponents: a few bytes of one could make Fraction build a huge power of ten.

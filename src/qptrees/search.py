@@ -63,9 +63,10 @@ class SearchOutcome:
 # A tree shape is the tuple of its children's shapes, children sorted
 # ascending, so equal shapes are exactly the isomorphic trees.
 
-# Shapes by size: one entry per size already searched, holding its shapes
-# and, once trees were searched up to that size, the forests of that bound
-# in each layout (see `_tree_forests`); a forest in two layouts is kept once.
+# Shapes by size: one entry per size already searched, holding its shapes,
+# their ids (see `_shape_data`) and, once trees were searched up to that
+# size, the forests of that bound in each layout (see `_tree_forests`); a
+# forest in two layouts or bounds is kept once.
 # After one search of `forall p (p -> p)` up to 11, 12 or 13 worlds, both
 # shape tables hold about 3, 10 or 36 MiB (tracemalloc, CPython 3.11), of
 # which the forests are 1.5, 5.8 or 23 MiB; packing adds one, of 189 worlds.
@@ -82,7 +83,8 @@ _shape_data: list[tuple] = []
 def _shapes(n: int) -> tuple:
     if n not in _shape_cache:
         shapes = ((),) if n == 1 else tuple(sorted(_forests(n - 1, None)))
-        _shape_cache[n] = [shapes, None, None]
+        first = _shape_cache[n - 1][3].stop if n > 1 else 0  # _forests made size n - 1
+        _shape_cache[n] = [shapes, None, None, range(first, first + len(shapes))]
     return _shape_cache[n][0]
 
 
@@ -131,8 +133,8 @@ def enumerate_trees(n: int, mode: str = INT) -> Iterator[Model]:
 
 def _shape_ids(n: int) -> range:
     """The ids of the shapes with `n` worlds, recording their data first."""
-    first = sum(len(_shapes(size)) for size in range(1, n))
-    ids = range(first, first + len(_shapes(n)))
+    _shapes(n)
+    ids = _shape_cache[n][3]
     if len(_shape_data) < ids.stop:
         index, start = {}, 0  # shape -> id, for the smaller sizes
         for size in range(1, n + 1):
@@ -255,18 +257,34 @@ def _layout(counts, packed: bool) -> list[range]:
 def _tree_forests(bound: int, packed: bool) -> list:
     """(ids, forest) for the trees of up to `bound` worlds as `_layout` lays
     them out, `ids` being the forest's shape ids; built once per bound and
-    layout, sharing the forests that another bound or layout already has."""
+    layout, sharing the forests that another bound or layout already has.
+    Laid out one size per forest, a bound's forests are those of the bound
+    below followed by its own size's."""
     _shape_ids(bound)
     entry = _shape_cache[bound]
     if entry[1 + packed] is None:
-        built = {ids: forest for e in _shape_cache.values() for runs in e[1:] for ids, forest in runs or ()}
-        entry[1 + packed] = [
+        below = [] if packed or bound == 1 else _tree_forests(bound - 1, False)
+        runs = _layout([len(_shapes(n)) for n in range(1, bound + 1)], packed)[len(below):]
+        built = {ids: forest for e in _shape_cache.values() for pairs in e[1:3] for ids, forest in pairs or ()}
+        entry[1 + packed] = below + [
             (ids, built.get(ids) or Forest(
                 [(_shape_data[i][0], _shape_data[i][2], ()) for i in ids],
                 lambda ids=ids: list(map(_shape_upsets, ids))))
-            for ids in _layout([len(_shapes(n)) for n in range(1, bound + 1)], packed)
+            for ids in runs
         ]
     return entry[1 + packed]
+
+
+def _searched_tree_forests(bound: int, packed: bool):
+    """The forests of `_tree_forests(bound, packed)` in order, a size class
+    built only once the search reaches it.  A packed search's formula is a
+    constant, so it ends at one world or runs to the bound, and in either
+    layout the one-world tree is a forest of its own."""
+    done = 0
+    for n in range(1, bound + 1) if not packed else sorted({1, bound}):
+        forests = _tree_forests(n, packed)
+        yield from forests[done:]
+        done = len(forests)
 
 
 def _model_forests(bound: int, structures):
@@ -308,7 +326,7 @@ def bounded_validity(f: Formula | NodeTable, bounds: SearchBounds, mode: str = I
     if cls == "finite-trees":
         quantifiers = table.ops.count(FORALL) + table.ops.count(EXISTS)
         packed = table.fixed.count(None) + quantifiers == len(table.fixed)  # every quantifier fixed
-        forests = _tree_forests(bounds.max_worlds, packed)
+        forests = _searched_tree_forests(bounds.max_worlds, packed)
     elif cls == "finite-posets":
         forests = _model_forests(bounds.max_worlds, lambda n: enumerate_posets(n, mode))
     else:

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import json
 import subprocess
 import sys
@@ -372,6 +374,41 @@ def test_commands_get_the_namespace_the_top_level_parser_gives(diamond_file, mon
         assert run(argv) == 0
         assert seen.pop() == cli.build_parser().parse_args(argv)
         assert vars(cli.build_parser().parse_args(argv))["command"] == argv[0]
+
+
+def test_only_plain_pairs_skip_argparse(monkeypatch, capsys):
+    calls = []
+    for name in ("parse_known_args", "parse_args"):
+        method = getattr(argparse.ArgumentParser, name)
+        monkeypatch.setattr(argparse.ArgumentParser, name,
+                            lambda self, *args, method=method, name=name: calls.append(name) or method(self, *args))
+    decide = ["decide", "--formula", "bot", "--class", "chains"]
+    for argv in (
+        decide + ["--max", "2"],
+        decide + ["--max", "2", "--mode", "s4"],
+        ["decide", "--mode", "int", "--max", "٧", "--class", "finite-trees", "--formula", "forall p p"],
+    ):
+        assert run(argv) == 1 and calls == [], argv
+        assert "OUTCOME: countermodel" in capsys.readouterr().out
+    for argv in (
+        ["decide", "--form", "bot", "--class", "chains", "--max", "2"],  # an abbreviation
+        ["decide", "--formula=bot", "--class", "chains", "--max", "2"],
+        decide + ["--max", "2", "--bogus", "x"],  # an unknown option
+        decide + ["--max", "2", "-h"],
+        decide + ["--", "--max", "2"],
+        decide + ["--max", "2", "--max", "3"],  # given twice
+        decide + ["--max", "-3"],  # a value that starts with "-"
+        decide + ["--max", "two"],  # a failed conversion
+        ["decide", "--formula", "bot", "--class", "lattices", "--max", "2"],  # a failed choice
+        decide,  # a missing required option
+        decide + ["--max", "2", "extra"],
+        decide + ["--max", 2],  # not a str: argparse's own error
+    ):
+        calls.clear()
+        with contextlib.suppress(TypeError):
+            run(argv)
+        assert "parse_known_args" in calls, argv
+    capsys.readouterr()
 
 
 def test_deep_nesting_is_a_clean_error(capsys):

@@ -2,17 +2,21 @@
 profile with no example database, so every run tries the same inputs: the
 parser fails only in its own two ways, printing round-trips, a text
 compiles to the table of its tree, `decide` always ends in a
-`KEY: value` line with exit 0, 1 or 2, the same bytes each time, and
-`eval_finite` agrees with the reference walker on any MSO formula."""
+`KEY: value` line with exit 0, 1 or 2, the same bytes each time,
+`eval_finite` agrees with the reference walker on any MSO formula, and
+`run` answers any command's argv as the top-level parser would."""
 
 import contextlib
 import io
+import json
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mso_reader import reference_eval_finite
+from test_cli import DIAMOND, run_through_the_top_level
 from qptrees.cli import run
 from qptrees.formula import (
     INT,
@@ -169,3 +173,82 @@ def eval_outcome(evaluate, f, m, env):
 def test_eval_finite_agrees_with_the_reference_walker(f, case):
     m, env = case
     assert eval_outcome(eval_finite, f, m, env) == eval_outcome(reference_eval_finite, f, m, env)
+
+
+# Every command's full options, the good values each is given, and values
+# that argparse reads in its own ways.  Every formula here is refuted at
+# one world or is an error, so `decide --max 7_0` stays cheap.
+COMMAND_OPTIONS = {
+    "check": ("--model", "--formula", "--world"),
+    "decide": ("--formula", "--class", "--max", "--mode"),
+    "translate": ("--formula", "--class"),
+    "embed": ("--formula",),
+    "godel": ("--formula", "--values", "--valuation"),
+    "examples": (),
+}
+GOOD_VALUES = {
+    "--formula": ("bot", "forall p p", "~(forall p (p | ~p))", "dia bot", "p", "p -> -> q"),
+    "decide --class": ("chains", "finite-trees", "finite-posets"),
+    "translate --class": ("qpHt-fin", "s4t-2"),
+    "--max": ("1", "2"),
+    "--mode": ("int", "s4"),
+    "--world": ("a", "[0]", "zz"),
+    "--values": ("0,1/2,1", "0,1"),
+    "--valuation": ("p=1/2", "p=2"),
+}
+ODD_VALUES = ("-3", "", " 7", "7_0", "٧", "lattices", "--formula")
+EXTRA_TOKENS = ("-h", "--help", "--", "--bogus", "x", "-3")
+FORMS = ("plain", "omit", "odd value", "abbreviation", "--option=value", "repeat", "extra token")
+
+
+def captured(call, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = call(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def command_argv(draw, model):
+    """A command and `--option value` pairs over all its full options, in
+    any order and with good values, then at most one change of `FORMS`:
+    one option left out (required or not), given an odd value, abbreviated,
+    joined to its value by "=" or given twice, or an extra token put in."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+
+    def good(option):
+        return (model,) if option == "--model" else GOOD_VALUES.get(option) or GOOD_VALUES[f"{command} {option}"]
+
+    pairs = [[option, draw(st.sampled_from(good(option)))]
+             for option in draw(st.permutations(COMMAND_OPTIONS[command]))]
+    form = draw(st.sampled_from(FORMS))
+    if pairs and form not in ("plain", "extra token"):
+        pair = draw(st.sampled_from(pairs))
+        if form == "omit":
+            pairs.remove(pair)
+        elif form == "odd value":
+            pair[1] = draw(st.sampled_from(ODD_VALUES))
+        elif form == "abbreviation":
+            pair[0] = pair[0][:draw(st.integers(3, len(pair[0]) - 1))]
+        elif form == "--option=value":
+            pair[:] = ["=".join(pair)]
+        elif form == "repeat":
+            pairs.append([pair[0], draw(st.sampled_from(good(pair[0])))])
+    argv = [command] + [token for pair in pairs for token in pair]
+    if form == "extra token":
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(EXTRA_TOKENS)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("models") / "diamond.json"
+    path.write_text(json.dumps(DIAMOND))
+    return str(path)
+
+
+@TIER1
+@given(st.data())
+def test_run_reads_argv_as_the_top_level_parser_would(model_file, data):
+    argv = data.draw(command_argv(model_file))
+    assert captured(run, argv) == captured(run_through_the_top_level, argv), argv

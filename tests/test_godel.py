@@ -25,6 +25,7 @@ from qptrees.formula import (
     print_formula,
 )
 from qptrees.godel import (
+    TruthValueSet,
     chain_correspondence,
     evenly_spaced,
     godel_eval,
@@ -62,6 +63,30 @@ def test_library_strings_are_read_as_on_the_command_line():
             make_truth_values(["0", text, "1"])
         with pytest.raises(ValueError, match="bad truth value"):
             godel_eval({"p": text}, Var("p"), ["0", "1"])
+
+
+def test_library_callers_get_a_validated_set_once():
+    # unsorted, duplicate, string and Fraction values give the sorted set
+    values = make_truth_values([1, "1/2", Fraction(1, 2), 0, "0.5", 1])
+    assert values == (0, HALF, 1) and type(values) is TruthValueSet
+    assert make_truth_values(values) is values  # a validated set passes through
+    assert parse_truth_values("1,1/2,0") == values
+    f = parse_formula("p | ~p")
+    for given in ([1, "1/2", 0, "0.5"], ("1", HALF, "0"), {0, HALF, 1}, values):
+        assert godel_eval({"p": "1/2"}, f, given) == HALF
+        assert refuting_valuation(f, given) == ({"p": HALF}, HALF)
+    # out of range, missing 0 or 1, and bad strings keep their errors
+    for given, message in (
+        ([0, HALF, 1, "3/2"], "truth values must lie in \\[0, 1\\]"),
+        ([-1, 0, 1], "truth values must lie in \\[0, 1\\]"),
+        ([HALF, 1, 1], "a truth-value set must contain 0 and 1"),
+        ((), "a truth-value set must contain 0 and 1"),
+        (["0", "1/x", "1"], "bad truth value '1/x'"),
+    ):
+        for call in (make_truth_values, TruthValueSet,
+                     lambda vs: godel_eval({}, Bottom(), vs), lambda vs: refuting_valuation(f, vs)):
+            with pytest.raises(ValueError, match=message):
+                call(given)
 
 
 def test_evenly_spaced():

@@ -568,3 +568,30 @@ def test_a_poset_search_refuted_early_enumerates_no_larger_posets(monkeypatch):
     monkeypatch.setattr(search, "enumerate_posets", spy)
     got = bounded_validity(parse_formula("forall p (p | ~p)"), SearchBounds(6, "finite-posets")).countermodel
     assert len(got.worlds) == 2 and sizes == [1, 2]
+
+
+def test_a_tree_search_refuted_at_n_worlds_makes_no_larger_shape(fresh_table, monkeypatch, capsys):
+    made = []
+    shapes = search._shapes
+
+    def spy(n):
+        if n not in search._shape_cache:
+            made.append(n)
+        return shapes(n)
+
+    monkeypatch.setattr(search, "_shapes", spy)
+    assert cli.run(["decide", "--formula", "bot", "--class", "finite-trees", "--max", "16"]) == 1
+    assert "COUNTERMODEL: " in capsys.readouterr().out and made == [1]
+    for text, mode, n in (("forall p p", S4, 1), ("forall p (p | ~p)", INT, 2),
+                          (depth_formula(3), INT, 3), (depth_formula(5), S4, 5)):
+        f = parse_formula(text) if mode == INT else t_embed(parse_formula(text))
+        got = bounded_validity(f, SearchBounds(16, "finite-trees"), mode).countermodel
+        assert got == first_countermodel(f, "finite-trees", n, mode), text
+        assert len(got.worlds) == n and max(made) == n and sorted(search._shape_cache) == list(range(1, n + 1))
+    # the forests built on the way are the bounds' own, and a later search reuses them
+    assert [ids for ids, _ in search._shape_cache[5][1]] == per_size_layout(5)
+    built = []
+    init = Forest.__init__
+    monkeypatch.setattr(Forest, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    assert bounded_validity(t_embed(parse_formula(depth_formula(5))), SearchBounds(9, "finite-trees"), S4).countermodel
+    assert built == [] and made == [1, 2, 3, 4, 5]
