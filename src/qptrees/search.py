@@ -64,12 +64,11 @@ class SearchOutcome:
 # ascending, so equal shapes are exactly the isomorphic trees.
 
 # Shapes by size: one entry per size already searched, holding its shapes,
-# their ids (see `_shape_data`) and, once trees were searched up to that
-# size, the forests of that bound in each layout (see `_tree_forests`); a
-# forest in two layouts or bounds is kept once.
+# once trees of that size were searched their forests (see `_tree_forests`),
+# and their ids (see `_shape_data`).
 # After one search of `forall p (p -> p)` up to 11, 12 or 13 worlds, both
 # shape tables hold about 3, 10 or 36 MiB (tracemalloc, CPython 3.11), of
-# which the forests are 1.5, 5.8 or 23 MiB; packing adds one, of 189 worlds.
+# which the forests are 1.5, 5.8 or 23 MiB.
 _shape_cache: dict[int, list] = {}
 
 # Per-shape data beside `_shape_cache`: `_shape_data[i]` is (size, child
@@ -83,8 +82,8 @@ _shape_data: list[tuple] = []
 def _shapes(n: int) -> tuple:
     if n not in _shape_cache:
         shapes = ((),) if n == 1 else tuple(sorted(_forests(n - 1, None)))
-        first = _shape_cache[n - 1][3].stop if n > 1 else 0  # _forests made size n - 1
-        _shape_cache[n] = [shapes, None, None, range(first, first + len(shapes))]
+        first = _shape_cache[n - 1][2].stop if n > 1 else 0  # _forests made size n - 1
+        _shape_cache[n] = [shapes, None, range(first, first + len(shapes))]
     return _shape_cache[n][0]
 
 
@@ -134,7 +133,7 @@ def enumerate_trees(n: int, mode: str = INT) -> Iterator[Model]:
 def _shape_ids(n: int) -> range:
     """The ids of the shapes with `n` worlds, recording their data first."""
     _shapes(n)
-    ids = _shape_cache[n][3]
+    ids = _shape_cache[n][2]
     if len(_shape_data) < ids.stop:
         index, start = {}, 0  # shape -> id, for the smaller sizes
         for size in range(1, n + 1):
@@ -235,66 +234,28 @@ def enumerate_posets(n: int, mode: str = INT) -> Iterator[Model]:
 FOREST_WORLDS = 512
 
 
-def _layout(counts, packed: bool) -> list[range]:
-    """One index range per forest into trees listed by size, where
-    `counts[n - 1]` trees have n worlds: each size class cut into forests
-    of FOREST_WORLDS // n trees, or, if `packed`, whole classes above one
-    world sharing a forest while their worlds fit in FOREST_WORLDS."""
-    runs, start, room = [], 0, 0  # room: worlds still free in the last forest
-    for n, count in enumerate(counts, 1):
-        worlds = n * count
-        if worlds <= room:
-            runs[-1] = range(runs[-1].start, start + count)
-            room -= worlds
-        else:
-            per = max(1, FOREST_WORLDS // n)
-            runs += [range(start, start + count)[k:k + per] for k in range(0, count, per)]
-            room = FOREST_WORLDS - worlds if packed and 1 < n and worlds <= FOREST_WORLDS else 0
-        start += count
-    return runs
+def _runs(items, n: int) -> list:
+    """`items`, structures of `n` worlds, cut into runs of FOREST_WORLDS // n."""
+    per = max(1, FOREST_WORLDS // n)
+    return [items[k:k + per] for k in range(0, len(items), per)]
 
 
-def _tree_forests(bound: int, packed: bool) -> list:
-    """(ids, forest) for the trees of up to `bound` worlds as `_layout` lays
-    them out, `ids` being the forest's shape ids; built once per bound and
-    layout, sharing the forests that another bound or layout already has.
-    Laid out one size per forest, a bound's forests are those of the bound
-    below followed by its own size's."""
-    _shape_ids(bound)
-    entry = _shape_cache[bound]
-    if entry[1 + packed] is None:
-        below = [] if packed or bound == 1 else _tree_forests(bound - 1, False)
-        runs = _layout([len(_shapes(n)) for n in range(1, bound + 1)], packed)[len(below):]
-        built = {ids: forest for e in _shape_cache.values() for pairs in e[1:3] for ids, forest in pairs or ()}
-        entry[1 + packed] = below + [
-            (ids, built.get(ids) or Forest(
-                [(_shape_data[i][0], _shape_data[i][2], ()) for i in ids],
-                lambda ids=ids: list(map(_shape_upsets, ids))))
-            for ids in runs
+def _tree_forests(n: int) -> list:
+    """(ids, forest) for the trees of `n` worlds, `ids` being the forest's
+    shape ids; built once per size."""
+    ids = _shape_ids(n)
+    entry = _shape_cache[n]
+    if entry[1] is None:
+        entry[1] = [
+            (run, Forest([(n, _shape_data[i][2], ()) for i in run], lambda run=run: list(map(_shape_upsets, run))))
+            for run in _runs(ids, n)
         ]
-    return entry[1 + packed]
+    return entry[1]
 
 
-def _searched_tree_forests(bound: int, packed: bool):
-    """The forests of `_tree_forests(bound, packed)` in order, a size class
-    built only once the search reaches it.  A packed search's formula is a
-    constant, so it ends at one world or runs to the bound, and in either
-    layout the one-world tree is a forest of its own."""
-    done = 0
-    for n in range(1, bound + 1) if not packed else sorted({1, bound}):
-        forests = _tree_forests(n, packed)
-        yield from forests[done:]
-        done = len(forests)
-
-
-def _model_forests(bound: int, structures):
-    """(models, forest) for the structures of up to `bound` worlds, in order,
-    where `structures(n)` lists those of n worlds, one size at a time: a
-    size is enumerated only once the smaller ones are evaluated."""
-    for n in range(1, bound + 1):
-        models, per = list(structures(n)), max(1, FOREST_WORLDS // n)
-        for s in range(0, len(models), per):
-            yield models[s:s + per], Forest.of(models[s:s + per])
+def _model_forests(n: int, models) -> list:
+    """(models, forest) for `models`, structures of `n` worlds, in order."""
+    return [(run, Forest.of(run)) for run in _runs(list(models), n)]
 
 
 def bounded_validity(f: Formula | NodeTable, bounds: SearchBounds, mode: str = INT) -> SearchOutcome:
@@ -303,13 +264,11 @@ def bounded_validity(f: Formula | NodeTable, bounds: SearchBounds, mode: str = I
     Returns the canonically least countermodel if one exists within the
     bounds, otherwise records that none was found up to them.  The
     structures are evaluated in enumeration order, one size class at a time
-    in forests of at most FOREST_WORLDS worlds; the countermodel is the
-    first structure whose root lies outside the extension.  A tree search
-    with no ranging quantifier packs whole classes instead (`_layout`): its
-    formula is a constant (see `semantics`), so it ends at one world or runs
-    to the bound, and fewer forests cost less.  A ranging quantifier tries
-    each proposition of a forest's largest component, so in a packed forest
-    a countermodel of 2 worlds would wait for those of 6-world trees.
+    in forests of at most FOREST_WORLDS worlds, so the search stops at the
+    size that refutes; the countermodel is the first structure whose root
+    lies outside the extension.  A formula whose quantifiers are all fixed
+    is a constant (see `semantics`), so only the one-world structure is
+    searched: it is the first countermodel if there is any.
     """
     table = compile_formula(f)
     if table.free:
@@ -323,21 +282,19 @@ def bounded_validity(f: Formula | NodeTable, bounds: SearchBounds, mode: str = I
         raise SearchBoundError(
             f"poset search supports at most {POSET_WORLD_CAP} worlds"
         )
-    if cls == "finite-trees":
-        quantifiers = table.ops.count(FORALL) + table.ops.count(EXISTS)
-        packed = table.fixed.count(None) + quantifiers == len(table.fixed)  # every quantifier fixed
-        forests = _searched_tree_forests(bounds.max_worlds, packed)
-    elif cls == "finite-posets":
-        forests = _model_forests(bounds.max_worlds, lambda n: enumerate_posets(n, mode))
-    else:
-        forests = _model_forests(bounds.max_worlds, lambda n: [chain(n, mode)])
-    for items, forest in forests:
-        # every enumerated structure lists its root first
-        refuted = forest.starts & ~forest_extension(forest, table, mode)
-        if refuted:
-            item = items[(forest.starts & ((refuted & -refuted) - 1)).bit_count()]
-            if cls == "finite-trees":  # a shape id
-                n = _shape_data[item][0]
-                item = _tree_model(_shapes(n)[item - _shape_ids(n).start], mode)
-            return SearchOutcome(item, bounds)
+    quantifiers = table.ops.count(FORALL) + table.ops.count(EXISTS)
+    constant = table.fixed.count(None) + quantifiers == len(table.fixed)  # every quantifier fixed
+    for n in range(1, 2 if constant else bounds.max_worlds + 1):
+        if cls == "finite-trees":
+            forests = _tree_forests(n)
+        else:
+            forests = _model_forests(n, enumerate_posets(n, mode) if cls == "finite-posets" else [chain(n, mode)])
+        for items, forest in forests:
+            # every enumerated structure lists its root first
+            refuted = forest.starts & ~forest_extension(forest, table, mode)
+            if refuted:
+                item = items[(forest.starts & ((refuted & -refuted) - 1)).bit_count()]
+                if cls == "finite-trees":  # a shape id
+                    item = _tree_model(_shapes(n)[item - _shape_ids(n).start], mode)
+                return SearchOutcome(item, bounds)
     return SearchOutcome(None, bounds)

@@ -44,7 +44,10 @@ the extension of `forall p A`, is ext(A[p:=empty]).  Only the remaining
 quantifiers enumerate propositions; a forest zips its list on the first
 evaluation that reaches one, and keeps it for later ones.  So a closed
 formula whose quantifiers are all fixed is a constant, empty or full on
-every structure, as `bot` and `~bot` are.
+every structure, as `bot` and `~bot` are: on empty and full, `->`, `box`
+and `dia` give empty or full again, as every world sees itself.
+`search.bounded_validity` relies on this to decide such a formula on the
+one-world structure alone, in every class.
 
 Every public function takes either a formula or its compiled node table;
 passing the table lets a caller that evaluates one formula on many models

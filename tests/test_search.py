@@ -13,6 +13,8 @@ from helpers import (
     brute_force_poset_forms,
     brute_force_tree_shapes,
     model_order_matrix,
+    naive_forces_int,
+    naive_forces_s4,
     poset_canonical,
     random_formula,
     rooted_tree_count,
@@ -278,6 +280,14 @@ def component_masks(forest, mask):
     return slices
 
 
+def tree_forests_up_to(bound):
+    return [pair for n in range(1, bound + 1) for pair in _tree_forests(n)]
+
+
+def poset_forests_up_to(bound, mode):
+    return [pair for n in range(1, bound + 1) for pair in _model_forests(n, enumerate_posets(n, mode))]
+
+
 def structures_up_to(cls, bound, mode):
     if cls == "finite-trees":
         return [m for n in range(1, bound + 1) for m in enumerate_trees(n, mode)]
@@ -293,6 +303,7 @@ def check_forest_slices(forests, formulas, mode, enumerated):
     seen = 0
     for items, forest in forests:
         assert sum(forest.sizes) <= FOREST_WORLDS or len(forest.sizes) == 1
+        assert len(set(forest.sizes)) == 1
         component = enumerated[seen:seen + len(items)]
         assert items == (range(seen, seen + len(items)) if isinstance(items, range) else component)
         seen += len(items)
@@ -309,15 +320,11 @@ def test_forest_extensions_are_the_extensions_of_their_components():
     int_formulas = [parse_formula(t) for t in ("forall p (p | ~p)", "~~(forall p (p | ~p))",
                                                "forall p (~p | ~~p)", "exists p (p & ~forall q (q | ~q))")]
     # the 115 trees of 8 worlds, 920 worlds, are split over two forests
-    for n, packed in product(range(1, 9), (False, True)):
-        check_forest_slices(_tree_forests(n, packed), int_formulas, INT, structures_up_to("finite-trees", n, INT))
+    check_forest_slices(tree_forests_up_to(8), int_formulas, INT, structures_up_to("finite-trees", 8, INT))
     s4_formulas = [parse_formula(t, S4) for t in FOREST_PINNED_S4 + ["box forall p (p | ~p)"]]
-    for n, packed in product(range(1, 6), (False, True)):
-        check_forest_slices(_tree_forests(n, packed), s4_formulas, S4, structures_up_to("finite-trees", n, S4))
-    for n in range(1, 5):
-        for mode, formulas in ((INT, int_formulas), (S4, s4_formulas)):
-            check_forest_slices(_model_forests(n, lambda k: enumerate_posets(k, mode)), formulas, mode,
-                                structures_up_to("finite-posets", n, mode))
+    check_forest_slices(tree_forests_up_to(5), s4_formulas, S4, structures_up_to("finite-trees", 5, S4))
+    for mode, formulas in ((INT, int_formulas), (S4, s4_formulas)):
+        check_forest_slices(poset_forests_up_to(4, mode), formulas, mode, structures_up_to("finite-posets", 4, mode))
 
 
 def test_forest_of_models_with_valuations():
@@ -389,7 +396,7 @@ def test_a_later_search_builds_no_forest_and_zips_nothing(monkeypatch):
 
 def test_interleaved_searches_match_a_fresh_process_in_reverse(fresh_table):
     forward = tree_searches(TABLE_PLAN)
-    assert [len(ids) for ids, _ in search._shape_cache[8][1]] == [1, 1, 2, 4, 9, 20, 48, 64, 51]
+    assert [len(ids) for n in range(1, 9) for ids, _ in search._shape_cache[n][1]] == [1, 1, 2, 4, 9, 20, 48, 64, 51]
     dumps = [dump for step in forward for dump in step]
     assert any(dumps) and None in dumps
     here = Path(__file__).resolve().parent
@@ -416,7 +423,7 @@ def test_countermodel_takes_the_requested_mode_from_a_shared_table(fresh_table):
 
 def test_forest_zips_its_propositions_once_and_drops_their_source(fresh_table):
     trees = structures_up_to("finite-trees", 8, INT)
-    for ids, forest in _tree_forests(8, False) + _tree_forests(8, True)[1:2]:
+    for ids, forest in tree_forests_up_to(8):
         source = weakref.ref(forest._upsets)
         first = forest.propositions(False)
         assert source() is None and forest._upsets is None
@@ -430,24 +437,7 @@ def test_forest_zips_its_propositions_once_and_drops_their_source(fresh_table):
             offset += len(m.worlds)
 
 
-# --- the layout: one size per forest, or whole size classes per forest ----------
-
-
-def tree_layout(bound, packed):
-    """The worlds in each forest of a tree search up to `bound`."""
-    return [sum(forest.sizes) for _, forest in _tree_forests(bound, packed)]
-
-
-def test_layouts_cut_size_classes_and_pack_whole_ones():
-    # 286 trees of 9 worlds in runs of 56, 719 of 10 in runs of 51
-    above_seven = [336, 512, 408] + [504] * 5 + [54] + [510] * 14 + [50]
-    assert tree_layout(10, False) == [1, 2, 6, 16, 45, 120] + above_seven
-    assert tree_layout(1, True) == [1]
-    assert tree_layout(5, True) == [1, 69]
-    assert tree_layout(7, True) == [1, 189, 336]
-    assert [sorted(set(forest.sizes)) for _, forest in _tree_forests(7, True)] == [[1], [2, 3, 4, 5, 6], [7]]
-    assert tree_layout(8, True) == [1, 189, 336, 512, 408]
-    assert tree_layout(10, True) == [1, 189] + above_seven
+# --- the forests: one size class each, cut into runs ------------------------------
 
 
 def per_size_layout(bound):
@@ -461,17 +451,12 @@ def per_size_layout(bound):
     return runs
 
 
-def test_each_packed_forest_joins_per_size_forests():
-    for bound in range(1, 11):
-        assert [ids for ids, _ in _tree_forests(bound, False)] == per_size_layout(bound)
-        runs = [ids for ids, _ in _tree_forests(bound, True)]
-        apart = per_size_layout(bound)
-        assert runs[0] == range(1) and runs[-1].stop == apart[-1].stop
-        assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
-        assert {ids.start for ids in runs} <= {ids.start for ids in apart}
-        # from 7 worlds up, the layouts agree
-        seven = search._shape_ids(7).start if bound >= 7 else runs[-1].stop
-        assert [ids for ids in runs if ids.start >= seven] == [ids for ids in apart if ids.start >= seven]
+def test_tree_forests_cut_each_size_class_into_runs():
+    # 286 trees of 9 worlds in runs of 56, 719 of 10 in runs of 51
+    above_seven = [336, 512, 408] + [504] * 5 + [54] + [510] * 14 + [50]
+    forests = tree_forests_up_to(10)
+    assert [sum(forest.sizes) for _, forest in forests] == [1, 2, 6, 16, 45, 120] + above_seven
+    assert [ids for ids, _ in forests] == per_size_layout(10)
 
 
 def depth_formula(k):
@@ -510,36 +495,82 @@ def test_a_search_with_a_ranging_quantifier_stops_at_the_size_it_refutes(evaluat
         assert sizes == [2, 3, 4, 5, 6, 3]
 
 
-def test_a_formula_with_no_ranging_quantifier_is_decided_at_one_world():
-    # so its search never finds a countermodel in a packed forest
-    rng = random.Random(11)
-    seen = 0
-    while seen < 150:
-        mode = rng.choice((INT, S4))
+def constant_formula(rng, mode):
+    """A random closed formula whose quantifiers are all fixed at compile time."""
+    while True:
         f = random_formula(rng, 4, lang=mode, scope=(), quantifiers=3, closed=True)
         table = compile_formula(f)
-        if any(op in (FORALL, EXISTS) and fix is None for op, fix in zip(table.ops, table.fixed)):
-            continue
-        seen += 1
-        one = bounded_validity(f, SearchBounds(1, "finite-trees"), mode).countermodel
-        assert bounded_validity(f, SearchBounds(6, "finite-trees"), mode).countermodel == one
+        if all(fix for op, fix in zip(table.ops, table.fixed) if op in (FORALL, EXISTS)):
+            return f
 
 
-def test_decide_up_to_seven_worlds_evaluates_three_forests(evaluated, capsys):
-    for mode, text in (("int", "forall p (bot -> p) | exists q q"), ("s4", "box forall p (p -> dia ~bot)")):
-        evaluated.clear()
-        assert cli.run(["decide", "--formula", text, "--class", "finite-trees", "--max", "7",
-                        "--mode", mode]) == 0
-        assert [sum(forest.sizes) for forest in evaluated] == [1, 189, 336]
-    assert "OUTCOME: no-counterexample" in capsys.readouterr().out
+def test_a_formula_with_no_ranging_quantifier_is_decided_at_one_world():
+    # pointwise forcing, which tries every proposition, finds it constant
+    rng = random.Random(11)
+    structures = [m for mode in (INT, S4) for m in
+                  structures_up_to("finite-trees", 4, mode) + structures_up_to("finite-posets", 4, mode)
+                  + [chain(n, mode) for n in range(1, 6)]]
+    verdicts = set()
+    for _ in range(400):
+        mode = rng.choice((INT, S4))
+        f = constant_formula(rng, mode)
+        naive = naive_forces_int if mode == INT else naive_forces_s4
+        values = {naive(m, m.root, f) for m in structures if m.mode == mode}
+        assert len(values) == 1, (mode, f)
+        valid = values.pop()
+        verdicts.add((mode, valid))
+        for cls, bound in (("finite-trees", 10), ("finite-posets", 6), ("chains", 40)):
+            got = bounded_validity(f, SearchBounds(bound, cls), mode).countermodel
+            assert (got is None) == valid and (valid or len(got.worlds) == 1), (cls, mode, f)
+    assert verdicts == {(INT, False), (INT, True), (S4, False), (S4, True)}
+
+
+CONSTANTS = {"int": ("forall p (bot -> p) | exists q q", "forall p p | bot"),
+             "s4": ("box forall p (p -> dia ~bot)", "dia forall p p")}
+
+
+def test_a_constant_is_decided_on_one_world(evaluated, monkeypatch, capsys):
+    posets = []
+
+    def spy(n, mode=INT):
+        posets.append(n)
+        return enumerate_posets(n, mode)
+
+    monkeypatch.setattr(search, "enumerate_posets", spy)
+    for cls, bound in (("finite-trees", 10), ("finite-posets", 6), ("chains", 100000)):
+        for mode, texts in CONSTANTS.items():
+            for text, status in zip(texts, (0, 1)):
+                evaluated.clear()
+                assert cli.run(["decide", "--formula", text, "--class", cls, "--max", str(bound),
+                                "--mode", mode]) == status, (cls, mode, text)
+                assert [forest.sizes for forest in evaluated] == [(1,)]
+                out = capsys.readouterr().out
+                assert f"MAX-WORLDS: {bound}\n" in out
+                assert ("OUTCOME: no-counterexample" if status == 0 else "OUTCOME: countermodel") in out
+    assert posets == [1] * 4
+    # a formula with a ranging quantifier runs to the bound
+    evaluated.clear()
     assert cli.run(["decide", "--formula", "forall p (p -> p)", "--class", "finite-trees", "--max", "7"]) == 0
-    assert len(evaluated) == 3 + 7
+    assert [set(forest.sizes) for forest in evaluated] == [{n} for n in range(1, 8)]
+    assert "OUTCOME: no-counterexample" in capsys.readouterr().out
+    # the input checks come first, in the same order in every class and mode
+    evaluated.clear()
+    for cls, mode in product(("finite-trees", "finite-posets", "chains"), (INT, S4)):
+        capped = SearchBoundError if cls == "finite-posets" else None
+        for text, error in (("box p", OpenFormulaError), ("box ~bot", LanguageError if mode == INT else capped),
+                            ("~bot", capped)):
+            if error is None:
+                assert bounded_validity(parse_formula(text, S4), SearchBounds(7, cls), mode).countermodel is None
+            else:
+                with pytest.raises(error):
+                    bounded_validity(parse_formula(text, S4), SearchBounds(7, cls), mode)
+    assert [forest.sizes for forest in evaluated] == [(1,)] * 6 and posets == [1] * 4
 
 
 def test_model_forests_hold_one_size_each():
-    posets = [[len(m.worlds) for m in models] for models, _ in _model_forests(6, enumerate_posets)]
+    posets = [[len(m.worlds) for m in models] for models, _ in poset_forests_up_to(6, INT)]
     assert posets == [[1], [2], [3] * 2, [4] * 5, [5] * 16, [6] * 63]
-    chains = [[len(m.worlds) for m in models] for models, _ in _model_forests(40, lambda n: [chain(n)])]
+    chains = [[len(m.worlds) for m in models] for n in range(1, 41) for models, _ in _model_forests(n, [chain(n)])]
     assert chains == [[n] for n in range(1, 41)]
 
 
@@ -588,8 +619,8 @@ def test_a_tree_search_refuted_at_n_worlds_makes_no_larger_shape(fresh_table, mo
         got = bounded_validity(f, SearchBounds(16, "finite-trees"), mode).countermodel
         assert got == first_countermodel(f, "finite-trees", n, mode), text
         assert len(got.worlds) == n and max(made) == n and sorted(search._shape_cache) == list(range(1, n + 1))
-    # the forests built on the way are the bounds' own, and a later search reuses them
-    assert [ids for ids, _ in search._shape_cache[5][1]] == per_size_layout(5)
+    # the forests built on the way are their sizes' own, and a later search reuses them
+    assert [ids for n in range(1, 6) for ids, _ in search._shape_cache[n][1]] == per_size_layout(5)
     built = []
     init = Forest.__init__
     monkeypatch.setattr(Forest, "__init__", lambda self, *args: built.append(args) or init(self, *args))
