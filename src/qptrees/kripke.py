@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from itertools import accumulate, combinations, cycle, repeat, zip_longest
 from operator import lshift, or_
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .formula import INT, S4
 
@@ -352,43 +352,34 @@ class Forest:
     many components there are.  A single model is a forest of one
     component.
 
-    `upsets` returns, when called, the upward-closed sets of each component
-    as masks local to it; the first intuitionistic `propositions` call
-    keeps their zip and drops `upsets`.  `valuation` assigns a variable only
-    where every component assigns it.
+    The forest keeps its models until the first intuitionistic
+    `propositions` call, which zips their `_upset_masks` and drops them.
+    `valuation` assigns a variable only where every component assigns it.
     """
 
     __slots__ = (
         "sizes", "full", "starts", "ahead", "behind", "valuation",
-        "_upsets", "_zipped", "_subsets",
+        "_models", "_zipped", "_subsets",
     )
 
-    def __init__(self, parts, upsets: Callable[[], list], valuation=None):
-        # `parts` lists each component's size, `ahead` and `behind` masks,
-        # local to it and indexed by offset (see `Model._offset_masks`).
-        # Components own disjoint bits: side by side is a sum of shifts.
-        self.sizes, ahead, behind = zip(*parts)
+    def __init__(self, models):
+        """The models side by side in the given order."""
+        self.sizes = tuple(len(m.worlds) for m in models)
         offsets = list(accumulate(self.sizes, initial=0))
         self.full = (1 << offsets.pop()) - 1
         self.starts = sum(map(lshift, repeat(1), offsets))
+        # Components own disjoint bits: side by side is a sum of shifts.
+        ahead, behind = zip(*(m._offset_masks() for m in models))
         self.ahead = _stacked(ahead, offsets)
         self.behind = _stacked(behind, offsets)
-        self._upsets = upsets
-        self.valuation = valuation or {}
-        one_size = len(set(self.sizes)) == 1  # then subset k is k * starts
-        self._subsets = range(0, self.starts << self.sizes[0], self.starts) if one_size else None
-
-    @classmethod
-    def of(cls, models) -> "Forest":
-        """The models side by side in the given order."""
-        offsets = list(accumulate((len(m.worlds) for m in models), initial=0))
         shared = set.intersection(*(set(m._val_masks) for m in models))
-        valuation = {
+        self.valuation = {
             var: sum(m._val_masks[var] << offset for m, offset in zip(models, offsets))
             for var in shared
         }
-        parts = [(len(m.worlds), *m._offset_masks()) for m in models]
-        return cls(parts, lambda: [m._upset_masks() for m in models], valuation)
+        self._models = models
+        one_size = len(set(self.sizes)) == 1  # then subset k is k * starts
+        self._subsets = range(0, self.starts << self.sizes[0], self.starts) if one_size else None
 
     def down(self, x: int) -> int:
         """The worlds that lie below or at some world of `x`."""
@@ -413,9 +404,10 @@ class Forest:
             if self._subsets is None:
                 self._subsets = _zip_across(self.sizes, [range(1 << n) for n in self.sizes])
             return self._subsets
-        upsets = self._upsets
-        if upsets is not None:
-            self._zipped, self._upsets = _zip_across(self.sizes, upsets()), None
+        models = self._models
+        if models is not None:
+            self._zipped = _zip_across(self.sizes, [m._upset_masks() for m in models])
+            self._models = None
         return self._zipped
 
 

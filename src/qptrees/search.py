@@ -63,27 +63,19 @@ class SearchOutcome:
 # A tree shape is the tuple of its children's shapes, children sorted
 # ascending, so equal shapes are exactly the isomorphic trees.
 
-# Shapes by size: one entry per size already searched, holding its shapes,
-# once trees of that size were searched their forests (see `_tree_forests`),
-# and their ids (see `_shape_data`).
-# After one search of `forall p (p -> p)` up to 11, 12 or 13 worlds, both
-# shape tables hold about 3, 10 or 36 MiB (tracemalloc, CPython 3.11), of
-# which the forests are 1.5, 5.8 or 23 MiB.
+# Shapes by size: one entry per size already searched, holding its shapes
+# and, once trees of that size were searched, their forests (see
+# `_tree_forests`).  A forest keeps its models until its first
+# intuitionistic zip, which replaces them by their zipped upsets.  After
+# one search of `forall p (p -> p)` up to 11, 12 or 13 worlds the table
+# holds about 1.7, 6.4 or 25 MiB in int mode, and 5.6, 16 or 44 MiB after
+# S4 searches alone, nearly all of it forests (tracemalloc, CPython 3.11).
 _shape_cache: dict[int, list] = {}
-
-# Per-shape data beside `_shape_cache`: `_shape_data[i]` is (size, child
-# ids, offset masks) of the shape with id i.  Ids run size by size in
-# `_shapes` order, so the shapes of one size have consecutive ids, and a
-# search keys its per-shape work by id instead of rehashing nested tuples.
-# One entry per shape of a size already searched.
-_shape_data: list[tuple] = []
 
 
 def _shapes(n: int) -> tuple:
     if n not in _shape_cache:
-        shapes = ((),) if n == 1 else tuple(sorted(_forests(n - 1, None)))
-        first = _shape_cache[n - 1][2].stop if n > 1 else 0  # _forests made size n - 1
-        _shape_cache[n] = [shapes, None, range(first, first + len(shapes))]
+        _shape_cache[n] = [((),) if n == 1 else tuple(sorted(_forests(n - 1, None))), None]
     return _shape_cache[n][0]
 
 
@@ -100,25 +92,12 @@ def _forests(total: int, floor):
                 yield (shape,) + rest
 
 
-def _add_shape(shape, word, words, up):
-    """Append the worlds of `shape`, rooted at `word`, in pre-order.
-
-    Pre-order is the sorted word order, and each subtree is the contiguous
-    run of indices that starts at its root, so its successor mask is known
-    once the subtree has been added.
-    """
-    i = len(words)
-    words.append(word)
-    up.append(0)
+def _words(shape, word=()):
+    """The worlds of `shape`, rooted at `word`, in pre-order, which is the
+    sorted word order."""
+    yield word
     for k, child in enumerate(shape):
-        _add_shape(child, word + (k,), words, up)
-    up[i] = ((1 << len(words) - i) - 1) << i
-
-
-def _tree_model(shape, mode: str) -> Model:
-    words, up = [], []
-    _add_shape(shape, (), words, up)
-    return Model("tree", mode, words, up, {})
+        yield from _words(child, word + (k,))
 
 
 def enumerate_trees(n: int, mode: str = INT) -> Iterator[Model]:
@@ -127,37 +106,7 @@ def enumerate_trees(n: int, mode: str = INT) -> Iterator[Model]:
     if n < 1:
         raise SearchBoundError("need at least one world")
     for shape in _shapes(n):
-        yield _tree_model(shape, mode)
-
-
-def _shape_ids(n: int) -> range:
-    """The ids of the shapes with `n` worlds, recording their data first."""
-    _shapes(n)
-    ids = _shape_cache[n][2]
-    if len(_shape_data) < ids.stop:
-        index, start = {}, 0  # shape -> id, for the smaller sizes
-        for size in range(1, n + 1):
-            shapes = _shapes(size)
-            if start == len(_shape_data):
-                for shape in shapes:
-                    offsets, _ = _tree_model(shape, INT)._offset_masks()
-                    _shape_data.append((size, tuple(index[c] for c in shape), offsets))
-            index.update(zip(shapes, range(start, start + len(shapes))))
-            start += len(shapes)
-    return ids
-
-
-def _shape_upsets(i: int) -> list[int]:
-    """The upsets of shape `i`: the whole tree, and every union of one upset
-    per child subtree."""
-    size, children, _ = _shape_data[i]
-    ups, offset = [0], 1
-    for child in children:
-        below = _shape_upsets(child)
-        ups = [u | v << offset for u in ups for v in below]
-        offset += _shape_data[child][0]
-    ups.append((1 << size) - 1)
-    return ups
+        yield Model.tree(_words(shape), None, mode)
 
 
 # --- posets with a least element -----------------------------------------------
@@ -241,21 +190,17 @@ def _runs(items, n: int) -> list:
 
 
 def _tree_forests(n: int) -> list:
-    """(ids, forest) for the trees of `n` worlds, `ids` being the forest's
-    shape ids; built once per size."""
-    ids = _shape_ids(n)
+    """(shapes, forest) for the trees of `n` worlds; built once per size."""
+    shapes = _shapes(n)
     entry = _shape_cache[n]
     if entry[1] is None:
-        entry[1] = [
-            (run, Forest([(n, _shape_data[i][2], ()) for i in run], lambda run=run: list(map(_shape_upsets, run))))
-            for run in _runs(ids, n)
-        ]
+        entry[1] = [(run, Forest([Model.tree(_words(s)) for s in run])) for run in _runs(shapes, n)]
     return entry[1]
 
 
 def _model_forests(n: int, models) -> list:
     """(models, forest) for `models`, structures of `n` worlds, in order."""
-    return [(run, Forest.of(run)) for run in _runs(list(models), n)]
+    return [(run, Forest(run)) for run in _runs(list(models), n)]
 
 
 def bounded_validity(f: Formula | NodeTable, bounds: SearchBounds, mode: str = INT) -> SearchOutcome:
@@ -294,7 +239,7 @@ def bounded_validity(f: Formula | NodeTable, bounds: SearchBounds, mode: str = I
             refuted = forest.starts & ~forest_extension(forest, table, mode)
             if refuted:
                 item = items[(forest.starts & ((refuted & -refuted) - 1)).bit_count()]
-                if cls == "finite-trees":  # a shape id
-                    item = _tree_model(_shapes(n)[item - _shape_ids(n).start], mode)
+                if cls == "finite-trees":  # a shape
+                    item = Model.tree(_words(item), None, mode)
                 return SearchOutcome(item, bounds)
     return SearchOutcome(None, bounds)

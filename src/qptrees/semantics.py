@@ -168,7 +168,7 @@ def _model_table(m: Model, f: Formula | NodeTable, mode: str) -> NodeTable:
 
 
 def _model_mask(m: Model, t: NodeTable) -> int:
-    return forest_extension(Forest.of([m]), t, m.mode)
+    return forest_extension(Forest([m]), t, m.mode)
 
 
 def extension_int(m: Model, f: Formula | NodeTable) -> Extension:

@@ -93,7 +93,7 @@ def _random_valuation(rng, skeleton, mode, variables):
     return valuation
 
 
-def random_tree_model(rng, max_worlds, mode=INT, variables=VARS):
+def random_tree(rng, max_worlds, mode=INT, variables=VARS):
     words = random_words(rng, rng.randint(1, max_worlds))
     skeleton = Model.tree(words, {}, mode)
     return Model.tree(words, _random_valuation(rng, skeleton, mode, variables), mode)
@@ -114,7 +114,7 @@ def random_poset_model(rng, max_worlds, mode=INT, variables=VARS):
 
 def random_model(rng, max_worlds, mode=INT, variables=VARS):
     if rng.random() < 0.5:
-        return random_tree_model(rng, max_worlds, mode, variables)
+        return random_tree(rng, max_worlds, mode, variables)
     return random_poset_model(rng, max_worlds, mode, variables)
 
 

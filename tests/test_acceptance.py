@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import random_formula, random_model, random_tree_model, with_assignment
+from helpers import random_formula, random_model, random_tree, with_assignment
 from qptrees.embedding import box_closure_valuation, t_embed
 from qptrees.formula import (
     INT,
@@ -46,7 +46,7 @@ def test_c1_separation_suite():
     # (e) the extension of QEM is the leaf set on 50 random trees
     rng = random.Random(101)
     for _ in range(50):
-        m = random_tree_model(rng, 8)
+        m = random_tree(rng, 8)
         assert extension_int(m, QEM).worlds == m.leaves()
     done("c1 separation suite")
 
@@ -98,7 +98,7 @@ def test_c4_mso_oracle_agreement():
     rng = random.Random(104)
     for mode, count in ((INT, 75), (S4, 75)):
         for _ in range(count):
-            m = random_tree_model(rng, 5, mode=mode, variables=("p", "q"))
+            m = random_tree(rng, 5, mode=mode, variables=("p", "q"))
             f = random_formula(rng, 3, lang=mode, scope=("p", "q"), quantifiers=2)
             translated = translate_at(f, "x", mode)
             env = {"T": set(m.worlds)}

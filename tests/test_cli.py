@@ -238,7 +238,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 def test_module_entry_point(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-m", "qptrees.cli", "decide", "--formula", "~(forall p (p | ~p))",
+        [sys.executable, "-B", "-m", "qptrees.cli", "decide", "--formula", "~(forall p (p | ~p))",
          "--class", "finite-trees", "--max", "2"],
         env={"PYTHONPATH": str(src)}, capture_output=True, text=True, cwd=tmp_path,
     )

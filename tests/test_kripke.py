@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import naive_upsets, random_poset_model, random_tree_model, with_assignment
+from helpers import naive_upsets, random_poset_model, random_tree, with_assignment
 from qptrees.kripke import (
     Forest,
     Model,
@@ -118,7 +118,7 @@ def test_load_is_deterministic():
 def test_dump_load_round_trip():
     rng = random.Random(3)
     for _ in range(40):
-        m = random_tree_model(rng, 6) if rng.random() < 0.5 else random_poset_model(rng, 6)
+        m = random_tree(rng, 6) if rng.random() < 0.5 else random_poset_model(rng, 6)
         assert load_model(dump_model(m)) == m
 
 
@@ -159,7 +159,7 @@ def test_upsets_match_powerset_filter_oracle():
 
 def random_model_small(rng):
     if rng.random() < 0.5:
-        return random_tree_model(rng, 6)
+        return random_tree(rng, 6)
     return random_poset_model(rng, 6)
 
 
@@ -242,7 +242,7 @@ def test_upward_closure():
 def test_loaded_valuations_are_closure_fixed_points():
     rng = random.Random(13)
     for _ in range(20):
-        m = random_tree_model(rng, 6)
+        m = random_tree(rng, 6)
         for image in m.valuation.values():
             assert upward_closure(m, image) == image
 
@@ -268,13 +268,13 @@ def test_offset_masks_give_the_worlds_below():
     models += [m for n in range(1, 6) for m in enumerate_posets(n)]
     models.append(load_model(DIAMOND))  # its root is not the first world
     for m in models:
-        forest = Forest.of([m])
+        forest = Forest([m])
         for x in range(1 << len(m.worlds)):
             assert forest.down(x) == below_by_definition(m, x), (m, x)
     # side by side, each component keeps to itself
     for n in (4, 5):
         for models in (list(enumerate_trees(n)), list(enumerate_posets(n))):
-            forest = Forest.of(models)
+            forest = Forest(models)
             rng = random.Random(n)
             for _ in range(50):
                 parts = [rng.getrandbits(n) for _ in models]
@@ -291,7 +291,7 @@ def test_offset_masks_of_components_of_different_sizes():
     models = [m for n in range(1, 6) for m in enumerate_trees(n)] + list(enumerate_posets(4))
     for _ in range(20):
         picked = rng.sample(models, 6)
-        forest = Forest.of(picked)
+        forest = Forest(picked)
         for _ in range(20):
             parts = [rng.getrandbits(len(m.worlds)) for m in picked]
             x = expected = offset = 0
@@ -304,12 +304,12 @@ def test_offset_masks_of_components_of_different_sizes():
 
 def test_subsets_of_one_size_stay_a_range():
     # 2**30 subsets: listing them is out of the question
-    forest = Forest.of([chain(30, "s4")])
+    forest = Forest([chain(30, "s4")])
     subsets = forest.propositions(True)
     assert isinstance(subsets, range) and len(subsets) == 1 << 30 and subsets[-1] == forest.full
     trees = list(enumerate_trees(4, "s4"))
-    subsets = Forest.of(trees).propositions(True)
-    assert subsets == range(0, Forest.of(trees).starts << 4, Forest.of(trees).starts)
+    subsets = Forest(trees).propositions(True)
+    assert subsets == range(0, Forest(trees).starts << 4, Forest(trees).starts)
 
 
 def test_subsets_of_different_sizes_are_zipped():
@@ -320,14 +320,14 @@ def test_subsets_of_different_sizes_are_zipped():
 
     # listed on first use and kept
     for sizes in ([2, 3, 3], [2, 3, 2], [1, 6, 2, 5]):
-        forest = Forest.of([chain(n, "s4") for n in sizes])
+        forest = Forest([chain(n, "s4") for n in sizes])
         subsets = forest.propositions(True)
         assert subsets == expected(sizes) and forest.propositions(True) is subsets
 
 
 def test_offset_masks_of_a_long_chain():
     m = chain(1200)
-    forest = Forest.of([m])
+    forest = Forest([m])
     assert [d for d, _ in forest.ahead] == list(range(1, 1200)) and forest.behind == ()
     rng = random.Random(1200)
     for x in [0, 1, 1 << 1199, m._full] + [rng.getrandbits(1200) for _ in range(5)]:

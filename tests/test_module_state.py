@@ -13,7 +13,7 @@ from pathlib import Path
 import qptrees
 import qptrees.semantics
 
-ALLOWED = {("search", "_shape_cache"), ("search", "_shape_data")}
+ALLOWED = {("search", "_shape_cache")}
 
 CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 CONTAINER_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"}

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_formula, random_tree_model
+from helpers import random_formula, random_tree
 from mso_reader import expand_immediate, free_names, read_mso, reference_eval_finite
 from qptrees.formula import (
     INT,
@@ -304,7 +304,7 @@ def test_arity_predicate_expansion_agrees_on_trees():
 def test_oracle_matches_intuitionistic_extension():
     rng = random.Random(20260505)
     for _ in range(25):
-        m = random_tree_model(rng, 4, mode=INT, variables=("p", "q"))
+        m = random_tree(rng, 4, mode=INT, variables=("p", "q"))
         f = random_formula(rng, 3, scope=("p", "q"), quantifiers=2)
         t = translate_at(f, "x", INT)
         env = {"T": set(m.worlds)}
@@ -319,7 +319,7 @@ def test_oracle_matches_intuitionistic_extension():
 def test_oracle_matches_s4_extension():
     rng = random.Random(20260506)
     for _ in range(25):
-        m = random_tree_model(rng, 4, mode=S4, variables=("p", "q"))
+        m = random_tree(rng, 4, mode=S4, variables=("p", "q"))
         f = random_formula(rng, 3, lang=S4, scope=("p", "q"), quantifiers=2)
         t = translate_at(f, "x", S4)
         env = {"T": set(m.worlds)}

@@ -1,10 +1,10 @@
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
-import weakref
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -31,6 +31,7 @@ from qptrees.search import (
     SearchBounds,
     _model_forests,
     _tree_forests,
+    _words,
     bounded_validity,
     enumerate_posets,
     enumerate_trees,
@@ -297,7 +298,7 @@ def structures_up_to(cls, bound, mode):
 def check_forest_slices(forests, formulas, mode, enumerated):
     """Each component's slice of the forest extension is the extension on
     that structure alone, and the components are the enumerated structures
-    in order: tree forests name them by shape id, model forests list them."""
+    in order: tree forests name them by shape, model forests list them."""
     extension = extension_int if mode == INT else extension_s4
     enumerated = list(enumerated)
     seen = 0
@@ -305,7 +306,7 @@ def check_forest_slices(forests, formulas, mode, enumerated):
         assert sum(forest.sizes) <= FOREST_WORLDS or len(forest.sizes) == 1
         assert len(set(forest.sizes)) == 1
         component = enumerated[seen:seen + len(items)]
-        assert items == (range(seen, seen + len(items)) if isinstance(items, range) else component)
+        assert [m if isinstance(m, Model) else Model.tree(_words(m), None, mode) for m in items] == component
         seen += len(items)
         assert [len(m.worlds) for m in component] == list(forest.sizes)
         assert all(m.worlds[0] == m.root for m in component)
@@ -328,16 +329,16 @@ def test_forest_extensions_are_the_extensions_of_their_components():
 
 
 def test_forest_of_models_with_valuations():
-    from helpers import random_poset_model, random_tree_model
+    from helpers import random_poset_model, random_tree
 
     rng = random.Random(44)
     for mode in (INT, S4):
         extension = extension_int if mode == INT else extension_s4
         for _ in range(10):
             # sizes differ from component to component
-            models = [(random_tree_model if rng.random() < 0.5 else random_poset_model)(
+            models = [(random_tree if rng.random() < 0.5 else random_poset_model)(
                 rng, rng.randint(1, 5), mode, ("p", "q")) for _ in range(6)]
-            forest = Forest.of(models)
+            forest = Forest(models)
             assert forest.sizes == tuple(len(m.worlds) for m in models)
             for _ in range(4):
                 f = random_formula(rng, 3, lang=mode, scope=("p", "q"), quantifiers=2)
@@ -378,7 +379,6 @@ def tree_searches(plan):
 @pytest.fixture
 def fresh_table(monkeypatch):
     monkeypatch.setattr(search, "_shape_cache", {})
-    monkeypatch.setattr(search, "_shape_data", [])
 
 
 def test_a_later_search_builds_no_forest_and_zips_nothing(monkeypatch):
@@ -388,7 +388,7 @@ def test_a_later_search_builds_no_forest_and_zips_nothing(monkeypatch):
     built = []
     init = Forest.__init__
     monkeypatch.setattr(Forest, "__init__", lambda self, *args: built.append(args) or init(self, *args))
-    monkeypatch.setattr(search, "_shape_upsets", built.append)
+    monkeypatch.setattr(Model, "_upset_masks", lambda self: built.append(self) or ())
     assert bounded_validity(f, bounds) == first
     assert bounded_validity(t_embed(f), SearchBounds(6, "finite-trees"), S4).countermodel is None
     assert built == []
@@ -396,12 +396,12 @@ def test_a_later_search_builds_no_forest_and_zips_nothing(monkeypatch):
 
 def test_interleaved_searches_match_a_fresh_process_in_reverse(fresh_table):
     forward = tree_searches(TABLE_PLAN)
-    assert [len(ids) for n in range(1, 9) for ids, _ in search._shape_cache[n][1]] == [1, 1, 2, 4, 9, 20, 48, 64, 51]
+    assert [len(shapes) for n in range(1, 9) for shapes, _ in search._shape_cache[n][1]] == [1, 1, 2, 4, 9, 20, 48, 64, 51]
     dumps = [dump for step in forward for dump in step]
     assert any(dumps) and None in dumps
     here = Path(__file__).resolve().parent
     done = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, "-B", "-c",
          "import json, sys, test_search\n"
          "plan = [tuple(step) for step in json.loads(sys.argv[1])]\n"
          "print(json.dumps(test_search.tree_searches(plan)))",
@@ -421,17 +421,29 @@ def test_countermodel_takes_the_requested_mode_from_a_shared_table(fresh_table):
         assert bounded_validity(parse_formula(refuted, mode), bounds, mode).countermodel.mode == mode
 
 
+def live_models():
+    gc.collect()
+    return sum(isinstance(o, Model) for o in gc.get_objects())
+
+
 def test_forest_zips_its_propositions_once_and_drops_their_source(fresh_table):
-    trees = structures_up_to("finite-trees", 8, INT)
-    for ids, forest in tree_forests_up_to(8):
-        source = weakref.ref(forest._upsets)
+    before = live_models()
+    bounds = SearchBounds(8, "finite-trees")
+    # an S4 search zips no upsets, so each tree forest keeps its models
+    assert bounded_validity(t_embed(NOT_NOT_QEM), bounds, S4).countermodel is None
+    assert live_models() == before + 200  # the trees of at most 8 worlds
+    # the first intuitionistic search zips them and frees the models
+    assert bounded_validity(NOT_NOT_QEM, bounds).countermodel is None
+    assert live_models() == before
+    trees = iter(structures_up_to("finite-trees", 8, INT))
+    for shapes, forest in tree_forests_up_to(8):
+        assert forest._models is None
         first = forest.propositions(False)
-        assert source() is None and forest._upsets is None
         assert forest.propositions(False) == first
         assert forest.propositions(False) is first
         # every component meets each of its own upsets
         offset = 0
-        for m in trees[ids.start:ids.stop]:
+        for m in islice(trees, len(shapes)):
             local = {p >> offset & m._full for p in first}
             assert local == set(m._upset_masks())
             offset += len(m.worlds)
@@ -441,13 +453,13 @@ def test_forest_zips_its_propositions_once_and_drops_their_source(fresh_table):
 
 
 def per_size_layout(bound):
-    """Shape id ranges of forests holding one size class each, split at
+    """Shape runs of forests holding one size class each, split at
     FOREST_WORLDS // n trees."""
     runs = []
     for n in range(1, bound + 1):
-        ids = search._shape_ids(n)
+        shapes = search._shapes(n)
         per = max(1, FOREST_WORLDS // n)
-        runs += [ids[k:k + per] for k in range(0, len(ids), per)]
+        runs += [shapes[k:k + per] for k in range(0, len(shapes), per)]
     return runs
 
 
@@ -456,7 +468,7 @@ def test_tree_forests_cut_each_size_class_into_runs():
     above_seven = [336, 512, 408] + [504] * 5 + [54] + [510] * 14 + [50]
     forests = tree_forests_up_to(10)
     assert [sum(forest.sizes) for _, forest in forests] == [1, 2, 6, 16, 45, 120] + above_seven
-    assert [ids for ids, _ in forests] == per_size_layout(10)
+    assert [shapes for shapes, _ in forests] == per_size_layout(10)
 
 
 def depth_formula(k):
@@ -620,7 +632,7 @@ def test_a_tree_search_refuted_at_n_worlds_makes_no_larger_shape(fresh_table, mo
         assert got == first_countermodel(f, "finite-trees", n, mode), text
         assert len(got.worlds) == n and max(made) == n and sorted(search._shape_cache) == list(range(1, n + 1))
     # the forests built on the way are their sizes' own, and a later search reuses them
-    assert [ids for n in range(1, 6) for ids, _ in search._shape_cache[n][1]] == per_size_layout(5)
+    assert [shapes for n in range(1, 6) for shapes, _ in search._shape_cache[n][1]] == per_size_layout(5)
     built = []
     init = Forest.__init__
     monkeypatch.setattr(Forest, "__init__", lambda self, *args: built.append(args) or init(self, *args))

@@ -429,7 +429,7 @@ def test_upward_closure_check_survives_optimize():
     )
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
+        [sys.executable, "-B", "-O", "-c", script],
         env={"PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
     ).stdout
     assert out == "intuitionistic extension not upward closed\n"
