@@ -38,7 +38,6 @@ from .kripke import (
     upward_closure,
 )
 from .semantics import (
-    Extension,
     extension_int,
     extension_s4,
     forces_int,

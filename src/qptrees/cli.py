@@ -34,8 +34,8 @@ def _worlds_text(m, worlds) -> str:
 
 def _cmd_check(ns) -> tuple[int, list[str]]:
     m = load_model(Path(ns.model).read_text())
-    f = parse_formula(ns.formula, lang=m.mode)
-    ext = extension_int(m, f) if m.mode == "int" else extension_s4(m, f)
+    table = compile_formula(ns.formula, m.mode)  # no syntax tree on this path
+    ext = extension_int(m, table) if m.mode == "int" else extension_s4(m, table)
     if ns.world is None:
         world = m.root
     elif m.kind == "tree":
@@ -46,11 +46,11 @@ def _cmd_check(ns) -> tuple[int, list[str]]:
     else:
         world = ns.world
     m.index_of(world)
-    verdict = world in ext.worlds
+    verdict = world in ext
     return 0 if verdict else 1, [
-        f"FORMULA: {print_formula(f)}",
+        f"FORMULA: {print_formula(table)}",
         f"MODE: {m.mode}",
-        f"EXTENSION: {_worlds_text(m, ext.worlds)}",
+        f"EXTENSION: {_worlds_text(m, ext)}",
         f"WORLD: {_world_text(m, world)}",
         f"VERDICT: {'true' if verdict else 'false'}",
     ]

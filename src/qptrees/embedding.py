@@ -60,7 +60,7 @@ def box_closure_valuation(m: Model) -> Model:
     if m.mode != S4:
         raise ValueError("box closure applies to S4 models")
     closed = {
-        var: extension_s4(m, Box(Var(var))).worlds for var in m.valuation
+        var: extension_s4(m, Box(Var(var))) for var in m.valuation
     }
     return m.with_valuation(closed)
 

@@ -2,10 +2,12 @@
 
 The parser reads a text once, with one explicit stack, into the post-order
 that `compile_formula` interns into a node table; `parse_formula` builds a
-syntax tree from that same post-order.  A table prints by the same rules as
-a tree, so a query can go from text to table to text without a tree.
-Parsing, compiling and printing are iterative: no nesting depth is too deep
-for them.
+syntax tree from that same post-order.  The parser is the only way into a
+table: a syntax tree compiles through its printed text, and a table holds
+only its nodes.  A table prints by the same rules as a tree, so a query can
+go from text to table to text without a tree.  Parsing, compiling, printing
+and the free-variable walk are iterative: no nesting depth is too deep for
+them.
 
 The intuitionistic language has variables, `bot`, `&`, `|`, `->` and the
 propositional quantifiers `forall p` / `exists p`.  The modal (S4) language
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 
 INT = "int"
@@ -81,25 +82,25 @@ class Bottom:
 
 
 @dataclass(frozen=True)
-class And:
+class _Binary:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    pass
+
+
+class Or(_Binary):
+    pass
+
+
+class Implies(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Forall:
+class _Binder:
     var: str
     body: "Formula"
 
@@ -107,23 +108,25 @@ class Forall:
         _check_name(self.var)
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
-
-    def __post_init__(self):
-        _check_name(self.var)
+class Forall(_Binder):
+    pass
 
 
-@dataclass(frozen=True)
-class Box:
-    body: "Formula"
+class Exists(_Binder):
+    pass
 
 
 @dataclass(frozen=True)
-class Diamond:
+class _Unary:
     body: "Formula"
+
+
+class Box(_Unary):
+    pass
+
+
+class Diamond(_Unary):
+    pass
 
 
 Formula = Var | Bottom | And | Or | Implies | Forall | Exists | Box | Diamond
@@ -173,12 +176,10 @@ class NodeTable:
     every other node, so a quantifier with None ranges over all
     propositions.
 
-    `source` is the syntax tree the table was compiled from, or the text
-    and its language; `formula` is the syntax tree, which for a table
-    compiled from text is parsed again when first read.
+    A table holds only its nodes: `print_formula` gives back its text, and
+    `parse_formula` of that text its syntax tree.
     """
 
-    source: Formula | tuple[str, str]
     ops: tuple[int, ...]
     args: tuple
     free: tuple[str, ...]
@@ -194,10 +195,6 @@ class NodeTable:
     def modal(self) -> bool:
         return BOX in self.ops or DIA in self.ops
 
-    @cached_property
-    def formula(self) -> Formula:
-        return parse_formula(*self.source) if isinstance(self.source, tuple) else self.source
-
 
 def compile_formula(f: Formula | str | NodeTable, lang: str = INT) -> NodeTable:
     """Compile `f`, a syntax tree or a text in the language `lang`, into its
@@ -205,58 +202,23 @@ def compile_formula(f: Formula | str | NodeTable, lang: str = INT) -> NodeTable:
     fine.  Raises what `parse_formula` raises on a text, and TypeError if a
     tree holds something that is not a formula node.
 
-    Text and tree give the same table, names included: both are first read
-    into the same post-order of (op, name, bit) entries, left child first.
-    A VAR entry holds the variable's name and 0, or if it is bound, its
-    binder's new name and bit; a FORALL or EXISTS entry its own new name and
-    bit; any other entry `()` and 0.  A binder's bit is 1 << (the number of
+    The parser is the one way into a table: it reads a text into a
+    post-order of (op, name, bit) entries, left child first, and a tree is
+    compiled by reading its printed text (in the S4 language, which holds
+    both), so text and tree give the same table, names included.  A VAR
+    entry holds the variable's name and 0, or if it is bound, its binder's
+    new name and bit; a FORALL or EXISTS entry its own new name and bit;
+    any other entry `()` and 0.  A binder's bit is 1 << (the number of
     binders around it).
     """
     if isinstance(f, NodeTable):
         return f
     if isinstance(f, str):
-        return _intern(_parse(f, lang), (f, lang))
-    return _intern(_walk(f), f)
+        return _intern(_parse(f, lang))
+    return _intern(_parse(_print_tree(f), S4))
 
 
-def _walk(f: Formula) -> list[tuple]:
-    """The post-order entries of the syntax tree `f`: left child first, and
-    binders numbered as they are entered, which is their order in the text."""
-    entries, stack, scope, depth, binders = [], [f], {}, 0, 0
-    leave = object()  # below it: a node's own entry, its variable and what that hid
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is Var:
-            bound = scope.get(node.name)
-            entries.append((VAR, node.name, 0) if bound is None else (VAR, *bound))
-            continue
-        if node is leave:
-            entry, var, outer = stack.pop()
-            entries.append(entry)
-            if var is not None:
-                scope[var] = outer
-                depth -= 1
-            continue
-        op = _OPS.get(kind)
-        if op is None:
-            raise TypeError(f"not a formula node: {node!r}")
-        if op == BOT:
-            entries.append(_BOT)
-        elif op in (FORALL, EXISTS):
-            bound = (f"{node.var}#{binders}", 1 << depth)
-            stack += (((op, *bound), node.var, scope.get(node.var)), leave, node.body)
-            scope[node.var] = bound
-            binders += 1
-            depth += 1
-        elif op in (AND, OR, IMPLIES):
-            stack += (((op, (), 0), None, None), leave, node.right, node.left)
-        else:
-            stack += (((op, (), 0), None, None), leave, node.body)
-    return entries
-
-
-def _intern(entries: list[tuple], source) -> NodeTable:
+def _intern(entries: list[tuple]) -> NodeTable:
     """The node table of post-order entries.
 
     It tracks, per node, the bound variables with a positive and those with
@@ -309,17 +271,46 @@ def _intern(entries: list[tuple], source) -> NodeTable:
         ids.append(i)
     free = tuple(sorted(a for op, a in zip(ops, args) if op == VAR and "#" not in a))
     top = tuple(schedules[-1])  # the root, at least
-    return NodeTable(source, tuple(ops), tuple(args), free, tuple(fixed), top, tuple(own))
+    return NodeTable(tuple(ops), tuple(args), free, tuple(fixed), top, tuple(own))
+
+
+def _scan(f: Formula) -> tuple[frozenset[str], bool]:
+    """The free variables of the syntax tree `f`, and whether it has a box
+    or diamond, in one walk with one stack.  `bound` counts the binders of
+    each variable around the node at hand; a binder's leave marker, below
+    its body on the stack, gives its own back."""
+    free, modal, bound, stack = set(), False, {}, [f]
+    leave = object()  # below it: the variable of the binder being left
+    while stack:
+        node = stack.pop()
+        if node is leave:
+            bound[stack.pop()] -= 1
+            continue
+        op = _OPS.get(type(node))
+        if op == VAR:
+            if not bound.get(node.name):
+                free.add(node.name)
+        elif op in (FORALL, EXISTS):
+            bound[node.var] = bound.get(node.var, 0) + 1
+            stack += (node.var, leave, node.body)
+        elif op in (AND, OR, IMPLIES):
+            stack += (node.right, node.left)
+        elif op in (BOX, DIA):
+            modal = True
+            stack.append(node.body)
+        elif op is None:
+            raise TypeError(f"not a formula node: {node!r}")
+    return frozenset(free), modal
 
 
 def free_vars(f: Formula) -> frozenset[str]:
     """Free propositional variables of `f`; quantifiers bind."""
-    return frozenset(compile_formula(f).free)
+    return _scan(f)[0]
 
 
 def is_modal(f: Formula) -> bool:
     """True if `f` contains a box or diamond anywhere."""
-    return compile_formula(f).modal
+    return _scan(f)[1]
 
 
 # --- parsing -------------------------------------------------------------
@@ -485,8 +476,12 @@ _LAYOUT = (
 def print_formula(f: Formula | NodeTable) -> str:
     """Render `f`, a syntax tree or a node table, with minimal parentheses;
     reparsing yields `f` again.  Iterative, so any depth is fine."""
-    if isinstance(f, NodeTable):
-        return _print_table(f)
+    return _print_table(f) if isinstance(f, NodeTable) else _print_tree(f)
+
+
+def _print_tree(f: Formula) -> str:
+    """`print_formula` on a syntax tree; TypeError on a node that is not a
+    formula node."""
     out, stack = [], [(f, 1)]  # pieces of text, or a node and its place
     while stack:
         item = stack.pop()

@@ -41,6 +41,7 @@ from .formula import (
     UnboundVariableError,
     Var,
     compile_formula,
+    free_vars,
     is_modal,
     print_formula,
 )
@@ -170,11 +171,10 @@ def refuting_valuation(f: Formula, values) -> tuple[dict, Fraction] | None:
     Valuations are tried in product order over the sorted free variables,
     each ranging over the values in ascending order.
     """
-    table = compile_formula(f)
-    if table.modal:
+    if is_modal(f):
         raise LanguageError("modal operators have no many-valued reading here")
     vs = make_truth_values(values)
-    names = table.free
+    names = sorted(free_vars(f))
     s = [0] * len(names)
     run = _compile(f, {name: k for k, name in enumerate(names)}, s, len(vs) - 1)
     for choice in product(range(len(vs)), repeat=len(names)):

@@ -35,8 +35,8 @@ unless it is an atom, a negation, or another quantifier.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .formula import (
     INT,
@@ -73,35 +73,31 @@ class Member:
 
 
 @dataclass(frozen=True)
-class Subset:
+class _Relation:
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class PrefixLe:
-    left: str
-    right: str
+class Subset(_Relation):
+    symbol = "sub"
 
 
-@dataclass(frozen=True)
-class ImmediateLe:
+class PrefixLe(_Relation):
+    symbol = "<="
+
+
+class ImmediateLe(_Relation):
     """y is an immediate successor of x: x <= y, x != y, nothing strictly between."""
 
-    left: str
-    right: str
+    symbol = "<=1"
 
 
-@dataclass(frozen=True)
-class LexLe:
-    left: str
-    right: str
+class LexLe(_Relation):
+    symbol = "lex<="
 
 
-@dataclass(frozen=True)
-class NodeEq:
-    left: str
-    right: str
+class NodeEq(_Relation):
+    symbol = "="
 
 
 @dataclass(frozen=True)
@@ -110,21 +106,21 @@ class Falsum:
 
 
 @dataclass(frozen=True)
-class Conj:
+class _Connective:
     left: "MsoFormula"
     right: "MsoFormula"
 
 
-@dataclass(frozen=True)
-class Disj:
-    left: "MsoFormula"
-    right: "MsoFormula"
+class Conj(_Connective):
+    pass
 
 
-@dataclass(frozen=True)
-class Impl:
-    left: "MsoFormula"
-    right: "MsoFormula"
+class Disj(_Connective):
+    pass
+
+
+class Impl(_Connective):
+    pass
 
 
 @dataclass(frozen=True)
@@ -133,27 +129,25 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class All1:
+class _Quantifier:
     var: str
     body: "MsoFormula"
 
 
-@dataclass(frozen=True)
-class Ex1:
-    var: str
-    body: "MsoFormula"
+class All1(_Quantifier):
+    keyword = "all1"
 
 
-@dataclass(frozen=True)
-class All2:
-    var: str
-    body: "MsoFormula"
+class Ex1(_Quantifier):
+    keyword = "ex1"
 
 
-@dataclass(frozen=True)
-class Ex2:
-    var: str
-    body: "MsoFormula"
+class All2(_Quantifier):
+    keyword = "all2"
+
+
+class Ex2(_Quantifier):
+    keyword = "ex2"
 
 
 MsoFormula = (
@@ -161,22 +155,12 @@ MsoFormula = (
     | Conj | Disj | Impl | Neg | All1 | Ex1 | All2 | Ex2
 )
 
-_QUANTIFIERS = MappingProxyType({All1: "all1", Ex1: "ex1", All2: "all2", Ex2: "ex2"})
 
-
-def _conj(parts) -> MsoFormula:
-    parts = list(parts)
-    result = parts[-1]
-    for p in reversed(parts[:-1]):
-        result = Conj(p, result)
-    return result
-
-
-def _disj(parts) -> MsoFormula:
-    parts = list(parts)
-    result = parts[-1]
-    for p in reversed(parts[:-1]):
-        result = Disj(p, result)
+def _fold(node, parts) -> MsoFormula:
+    """`parts` joined by the connective class `node`, grouped to the right."""
+    *init, result = parts
+    for p in reversed(init):
+        result = node(p, result)
     return result
 
 
@@ -254,18 +238,6 @@ class LogicClass:
 # --- translation --------------------------------------------------------------
 
 
-class _Fresh:
-    """Per-translation allocator for individual variables y_0, y_1, ..."""
-
-    def __init__(self):
-        self.count = 0
-
-    def next(self) -> str:
-        name = f"y_{self.count}"
-        self.count += 1
-        return name
-
-
 def _setvar(name: str) -> str:
     return "X_" + name
 
@@ -275,7 +247,7 @@ def _upward_closed(setvar: str, u: str, v: str) -> MsoFormula:
                         All1(v, Impl(PrefixLe(u, v), Member(v, setvar)))))
 
 
-def _translate(f: Formula, x: str, mode: str, fresh: _Fresh) -> MsoFormula:
+def _translate(f: Formula, x: str, mode: str, fresh: itertools.count) -> MsoFormula:
     if isinstance(f, Var):
         return Member(x, _setvar(f.name))
     if isinstance(f, Bottom):
@@ -290,7 +262,7 @@ def _translate(f: Formula, x: str, mode: str, fresh: _Fresh) -> MsoFormula:
         if mode == S4:
             return Impl(_translate(f.left, x, mode, fresh),
                         _translate(f.right, x, mode, fresh))
-        y = fresh.next()
+        y = f"y_{next(fresh)}"
         return All1(y, Impl(Member(y, DOMAIN),
                             Impl(PrefixLe(x, y),
                                  Impl(_translate(f.left, y, mode, fresh),
@@ -298,12 +270,12 @@ def _translate(f: Formula, x: str, mode: str, fresh: _Fresh) -> MsoFormula:
     if isinstance(f, Box):
         if mode != S4:
             raise LanguageError("box cannot be translated in intuitionistic mode")
-        y = fresh.next()
+        y = f"y_{next(fresh)}"
         return All1(y, Impl(PrefixLe(x, y), _translate(f.body, y, mode, fresh)))
     if isinstance(f, Diamond):
         if mode != S4:
             raise LanguageError("dia cannot be translated in intuitionistic mode")
-        y = fresh.next()
+        y = f"y_{next(fresh)}"
         return Ex1(y, Conj(PrefixLe(x, y), _translate(f.body, y, mode, fresh)))
     if isinstance(f, (Forall, Exists)):
         X = _setvar(f.var)
@@ -311,7 +283,7 @@ def _translate(f: Formula, x: str, mode: str, fresh: _Fresh) -> MsoFormula:
             guard = Subset(X, DOMAIN)
         else:
             guard = Conj(Subset(X, DOMAIN),
-                         _upward_closed(X, fresh.next(), fresh.next()))
+                         _upward_closed(X, f"y_{next(fresh)}", f"y_{next(fresh)}"))
         body = _translate(f.body, x, mode, fresh)
         if isinstance(f, Forall):
             return All2(X, Impl(guard, body))
@@ -331,7 +303,7 @@ def translate_at(f: Formula, node: str, mode: str) -> MsoFormula:
     """
     if mode not in (INT, S4):
         raise ValueError(f"unknown mode {mode!r}")
-    return _translate(f, node, mode, _Fresh())
+    return _translate(f, node, mode, itertools.count())
 
 
 # --- tree-class predicates ------------------------------------------------------
@@ -349,8 +321,8 @@ def _exactly(n: int, atom, witnesses: list[str], closing: str) -> MsoFormula:
             parts.append(Neg(NodeEq(witnesses[i], witnesses[j])))
     parts.extend(atom(w) for w in witnesses)
     parts.append(All1(closing, Impl(atom(closing),
-                                    _disj([NodeEq(closing, w) for w in witnesses]))))
-    body = _conj(parts)
+                                    _fold(Disj, [NodeEq(closing, w) for w in witnesses]))))
+    body = _fold(Conj, parts)
     for w in reversed(witnesses):
         body = Ex1(w, body)
     return body
@@ -404,7 +376,7 @@ def validity_sentence(f: Formula, cls: LogicClass) -> MsoFormula:
         guard = Conj(tree, build_predicate("finite", DOMAIN))
     else:  # omega: T must be everything
         guard = All1("z", Member("z", DOMAIN))
-    body = _translate(f, ROOT, cls.mode, _Fresh())
+    body = _translate(f, ROOT, cls.mode, itertools.count())
     return All2(DOMAIN, Impl(guard, body))
 
 
@@ -417,16 +389,8 @@ def validity_sentence(f: Formula, cls: LogicClass) -> MsoFormula:
 def _emit(f: MsoFormula, ctx: int) -> str:
     if isinstance(f, Member):
         return f"{f.elem} in {f.setvar}"
-    if isinstance(f, Subset):
-        return f"{f.left} sub {f.right}"
-    if isinstance(f, PrefixLe):
-        return f"{f.left} <= {f.right}"
-    if isinstance(f, ImmediateLe):
-        return f"{f.left} <=1 {f.right}"
-    if isinstance(f, LexLe):
-        return f"{f.left} lex<= {f.right}"
-    if isinstance(f, NodeEq):
-        return f"{f.left} = {f.right}"
+    if isinstance(f, _Relation):
+        return f"{f.left} {f.symbol} {f.right}"
     if isinstance(f, Falsum):
         return "false"
     if isinstance(f, Impl):
@@ -437,8 +401,8 @@ def _emit(f: MsoFormula, ctx: int) -> str:
         s, prec = _emit(f.left, 3) + " & " + _emit(f.right, 4), 3
     elif isinstance(f, Neg):
         s, prec = "~" + _emit(f.body, 4), 4
-    elif isinstance(f, (All1, Ex1, All2, Ex2)):
-        s = f"{_QUANTIFIERS[type(f)]} {f.var}: " + _emit(f.body, 4)
+    elif isinstance(f, _Quantifier):
+        s = f"{f.keyword} {f.var}: " + _emit(f.body, 4)
         prec = 4
     else:
         raise TypeError(f"not a second-order formula node: {f!r}")
@@ -453,7 +417,7 @@ def emit(f: MsoFormula) -> str:
 # --- finite evaluation ------------------------------------------------------------
 
 _NODE, _SET = "node", "set"  # the two kinds of variable
-_ATOMS = (Member, Subset, PrefixLe, ImmediateLe, LexLe, NodeEq)
+_ATOMS = (Member, _Relation)
 
 
 class _Nodes:
@@ -565,13 +529,13 @@ def _compile(g: MsoFormula, scope: dict, s: list, nodes: _Nodes, k):
         return (test, False) if k is None else ((lambda: -test()), True)
     if isinstance(g, Falsum):
         return (lambda: 0), k is not None
-    if isinstance(g, (Conj, Disj, Impl)):
+    if isinstance(g, _Connective):
         left = _compile(g.left, scope, s, nodes, k)
         return _join(type(g), left, _compile(g.right, scope, s, nodes, k), s, k)
     if isinstance(g, Neg):
         body, vec = _compile(g.body, scope, s, nodes, k)
         return ((lambda: ~body()), True) if vec else ((lambda: not body()), False)
-    if not isinstance(g, (All1, Ex1, All2, Ex2)):
+    if not isinstance(g, _Quantifier):
         raise TypeError(f"not a second-order formula node: {g!r}")
     every, j, guard = isinstance(g, (All1, All2)), len(s), None
     s.append(0)

@@ -2,7 +2,7 @@
 
 A formula is first compiled into its interned node table
 (`formula.compile_formula`, which returns a table unchanged, so `decide`
-compiles its text once and builds no syntax tree), and evaluation
+and `check` compile their text once and build no syntax tree), and evaluation
 computes the extension of each node bottom-up as a bit vector into one
 list indexed by node id.  A quantifier assigns each proposition to its
 renamed-apart variable and re-runs only its own schedule, so parts that
@@ -56,8 +56,6 @@ compile it only once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formula import (
     AND,
     BOX,
@@ -77,14 +75,6 @@ from .formula import (
     compile_formula,
 )
 from .kripke import Forest, Model
-
-
-@dataclass(frozen=True)
-class Extension:
-    """The set of worlds at which a formula holds in a fixed model."""
-
-    formula: Formula
-    worlds: frozenset
 
 
 def _extension_mask(forest: Forest, t: NodeTable, s4: bool) -> int:
@@ -171,16 +161,16 @@ def _model_mask(m: Model, t: NodeTable) -> int:
     return forest_extension(Forest([m]), t, m.mode)
 
 
-def extension_int(m: Model, f: Formula | NodeTable) -> Extension:
+def extension_int(m: Model, f: Formula | NodeTable) -> frozenset:
     """Worlds at which `f` holds intuitionistically; always upward closed."""
     t = _model_table(m, f, INT)
-    return Extension(t.formula, m._set_of(_model_mask(m, t)))
+    return m._set_of(_model_mask(m, t))
 
 
-def extension_s4(m: Model, f: Formula | NodeTable) -> Extension:
+def extension_s4(m: Model, f: Formula | NodeTable) -> frozenset:
     """Worlds at which `f` holds under the S4 reading."""
     t = _model_table(m, f, S4)
-    return Extension(t.formula, m._set_of(_model_mask(m, t)))
+    return m._set_of(_model_mask(m, t))
 
 
 def forces_int(m: Model, world, f: Formula | NodeTable) -> bool:

@@ -49,7 +49,7 @@ def _no_countermodel(f, max_worlds, mode):
 def _leaf_extension_ok(max_worlds: int) -> bool:
     for n in range(1, max_worlds + 1):
         for m in enumerate_trees(n):
-            if extension_int(m, QEM).worlds != m.leaves():
+            if extension_int(m, QEM) != m.leaves():
                 return False
     return True
 

@@ -101,6 +101,17 @@ def test_check_tree_world_syntax(tmp_path, capsys):
     assert "EXTENSION: [[0]]" in out
 
 
+def test_check_and_decide_build_no_syntax_tree(diamond_file, monkeypatch, capsys):
+    def refuse(entries):
+        raise AssertionError("a syntax tree was built")
+
+    monkeypatch.setattr("qptrees.formula._tree", refuse)
+    assert run(["check", "--model", diamond_file, "--formula", WEM_TO_LIN_TEXT]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"FORMULA: {WEM_TO_LIN_TEXT}"
+    assert run(["decide", "--formula", WEM_TO_LIN_TEXT, "--class", "finite-trees", "--max", "4"]) == 0
+    assert "OUTCOME: no-counterexample" in capsys.readouterr().out
+
+
 def test_check_unknown_world_is_usage_error(diamond_file, tmp_path, capsys):
     tree = tmp_path / "tree.json"
     tree.write_text(json.dumps({"kind": "tree", "worlds": [[], [0], [1]], "mode": "int"}))

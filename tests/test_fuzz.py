@@ -1,7 +1,8 @@
 """Property tests on arbitrary input, under a derandomized hypothesis
 profile with no example database, so every run tries the same inputs: the
 parser fails only in its own two ways, printing round-trips, a text
-compiles to the table of its tree, `decide` always ends in a
+compiles to the table of its tree, the syntax-tree walk finds the free
+variables and modality that the table records, `decide` always ends in a
 `KEY: value` line with exit 0, 1 or 2, the same bytes each time,
 `eval_finite` agrees with the reference walker on any MSO formula, and
 `run` answers any command's argv as the top-level parser would."""
@@ -12,7 +13,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mso_reader import reference_eval_finite
@@ -21,10 +22,21 @@ from qptrees.cli import run
 from qptrees.formula import (
     INT,
     S4,
+    And,
+    Bottom,
+    Box,
+    Diamond,
+    Exists,
+    Forall,
     FormulaSyntaxError,
+    Implies,
     LanguageError,
+    Or,
     UnboundVariableError,
+    Var,
     compile_formula,
+    free_vars,
+    is_modal,
     parse_formula,
     print_formula,
 )
@@ -104,6 +116,30 @@ def test_text_compiles_to_the_table_of_its_tree(text, lang):
         table, reference = compile_formula(text, lang), compile_formula(f)
         for field in TABLE_FIELDS:
             assert getattr(table, field) == getattr(reference, field)
+
+
+def trees(lang):
+    """Syntax trees of `lang` over p and q, whose binders of p, q and r
+    shadow one another or bind nothing."""
+    def grow(inner):
+        kinds = [st.builds(kind, inner, inner) for kind in (And, Or, Implies)]
+        kinds += [st.builds(kind, st.sampled_from(("p", "q", "r")), inner) for kind in (Forall, Exists)]
+        kinds += [st.builds(kind, inner) for kind in (Box, Diamond) if lang == S4]
+        return st.one_of(kinds)
+
+    atoms = st.one_of(st.sampled_from(("p", "q")).map(Var), st.just(Bottom()))
+    return st.recursive(atoms, grow, max_leaves=10)
+
+
+@TIER1
+@given(LANGS.flatmap(trees))
+@example(Forall("p", And(Forall("p", Var("p")), Var("p"))))  # p bound again after the inner binder
+@example(Or(Exists("r", Var("p")), Forall("q", Diamond(Var("q")))))
+@example(And(Forall("p", Box(Var("p"))), Var("p")))
+def test_the_tree_walk_agrees_with_the_table(f):
+    table = compile_formula(f)
+    assert free_vars(f) == frozenset(table.free)
+    assert is_modal(f) == table.modal
 
 
 def decide(text):

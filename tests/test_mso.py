@@ -313,7 +313,7 @@ def test_oracle_matches_intuitionistic_extension():
         got = {
             h for h in m.worlds if eval_finite(t, m, {**env, "x": h})
         }
-        assert got == extension_int(m, f).worlds
+        assert got == extension_int(m, f)
 
 
 def test_oracle_matches_s4_extension():
@@ -328,7 +328,7 @@ def test_oracle_matches_s4_extension():
         got = {
             h for h in m.worlds if eval_finite(t, m, {**env, "x": h})
         }
-        assert got == extension_s4(m, f).worlds
+        assert got == extension_s4(m, f)
 
 
 def test_finite_validity_sentence_over_small_domains():

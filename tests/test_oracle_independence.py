@@ -4,15 +4,20 @@
 evaluation cross-checks it on chains, so neither may reach into the
 semantics, the search, the embedding, or the order and proposition
 machinery inside `Model`: `eval_finite` reads a model's kind, worlds and
-root, and nothing else.
+root, and nothing else.  Nor do they read the compiled node tables that the
+semantics evaluates: they work on syntax trees, and only
+`chain_correspondence`, which hands a table to the semantics, compiles one.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import qptrees.godel
 import qptrees.mso
-from qptrees.formula import INT, S4, parse_formula
+from qptrees.formula import INT, S4, OpenFormulaError, parse_formula
+from qptrees.godel import evenly_spaced, godel_eval, refuting_valuation
 from qptrees.kripke import Model
 from qptrees.mso import LogicClass, build_predicate, eval_finite, translate_at, validity_sentence
 from qptrees.search import enumerate_trees
@@ -32,6 +37,48 @@ def imported_modules(tree):
             yield node.module or ""
             if node.module is None:  # from . import x
                 yield from (alias.name for alias in node.names)
+
+
+def names_in(tree):
+    """The names a piece of code mentions: variables, attributes and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_mso_names_no_node_table():
+    assert not {"compile_formula", "NodeTable"} & set(names_in(module_tree(qptrees.mso)))
+
+
+def test_godel_compiles_a_table_only_for_the_chain():
+    tree = module_tree(qptrees.godel)
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            continue
+        compiles = "compile_formula" in set(names_in(node))
+        assert compiles == (getattr(node, "name", None) == "chain_correspondence"), ast.dump(node)[:80]
+
+
+def test_the_oracles_build_no_node_table(monkeypatch):
+    def refuse(entries):
+        raise AssertionError("a node table was built")
+
+    monkeypatch.setattr("qptrees.formula._intern", refuse)
+    closed = parse_formula("forall p (~p | ~~p) -> forall q exists p (p -> q)")
+    for cls in ("qpHt", "qpHt-2", "qpHt-fin", "qpHt-omega"):
+        validity_sentence(closed, LogicClass.parse(cls))
+    validity_sentence(parse_formula("forall p (dia box p -> p)", S4), LogicClass.parse("s4t"))
+    with pytest.raises(OpenFormulaError):
+        validity_sentence(parse_formula("forall p (p | q)"), LogicClass.parse("qpHt"))
+    translate_at(parse_formula("forall p (p | q)"), "x", INT)
+    values = evenly_spaced(2)
+    assert godel_eval({"q": 0}, parse_formula("forall p (p | q)"), values) == 0
+    assert refuting_valuation(parse_formula("p | ~p"), values) is not None
+    assert refuting_valuation(closed, values) is None
 
 
 def test_mso_imports_nothing_it_checks():

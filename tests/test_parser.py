@@ -133,7 +133,6 @@ def test_parser_agrees_with_the_reference(seed):
         table, reference = compile_formula(text, lang), compile_formula(got)
         for field in TABLE_FIELDS:
             assert getattr(table, field) == getattr(reference, field), (text, field)
-        assert table.formula == got
         assert print_formula(table) == print_formula(got)
         assert parse_formula(print_formula(table), lang) == got
     # every outcome is well represented
@@ -173,11 +172,3 @@ def test_deep_texts_parse_compile_and_print():
     nested = "forall p " * depth + "p"
     assert print_formula(parse_formula(nested)) == nested
     assert compile_formula(nested).fixed[-1] == "empty"
-
-
-def test_a_table_from_text_parses_its_tree_when_first_read():
-    table = compile_formula("forall p (p | ~p)")
-    assert "formula" not in vars(table)
-    assert table.formula == parse_formula("forall p (p | ~p)")
-    assert table.formula is table.formula
-    assert compile_formula(table) is table

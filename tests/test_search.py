@@ -313,7 +313,7 @@ def check_forest_slices(forests, formulas, mode, enumerated):
         for f in formulas:
             slices = component_masks(forest, forest_extension(forest, f, mode))
             for m, got in zip(component, slices, strict=True):
-                assert m._set_of(got) == extension(m, f).worlds, (m, f)
+                assert m._set_of(got) == extension(m, f), (m, f)
     assert seen == len(enumerated)
 
 
@@ -344,7 +344,7 @@ def test_forest_of_models_with_valuations():
                 f = random_formula(rng, 3, lang=mode, scope=("p", "q"), quantifiers=2)
                 slices = component_masks(forest, forest_extension(forest, f, mode))
                 for m, got in zip(models, slices):
-                    assert m._set_of(got) == extension(m, f).worlds, (m, f)
+                    assert m._set_of(got) == extension(m, f), (m, f)
 
 
 # --- the forests of each tree size are built once per process --------------------
