@@ -25,8 +25,6 @@ from typing import Iterable, Iterator
 
 from .formula import INT, S4
 
-NodeId = tuple[int, ...] | str  # tree nodes are words, poset nodes are labels
-
 MODES = (INT, S4)
 
 

@@ -194,7 +194,7 @@ class LogicClass:
         if self.shape not in _SHAPES:
             raise ValueError(f"unknown tree class shape {self.shape!r}")
         if self.shape == "arity":
-            if not isinstance(self.arity, int) or not 1 <= self.arity <= MAX_ARITY:
+            if type(self.arity) is not int or not 1 <= self.arity <= MAX_ARITY:
                 raise ValueError(f"arity classes need an arity from 1 to {MAX_ARITY}, got {self.arity!r}")
         elif self.arity is not None:
             raise ValueError(f"{self.shape!r} classes take no arity")
@@ -308,8 +308,6 @@ def translate_at(f: Formula, node: str, mode: str) -> MsoFormula:
 
 # --- tree-class predicates ------------------------------------------------------
 
-PREDICATE_KINDS = ("tree", "upward-closed", "arity", "finite")
-
 
 def _exactly(n: int, atom, witnesses: list[str], closing: str) -> MsoFormula:
     """There are exactly n nodes satisfying `atom`, via the usual expansion:
@@ -348,7 +346,7 @@ def build_predicate(kind: str, setvar: str, n: int | None = None) -> MsoFormula:
     if kind == "finite":
         return Ex1("x", All1("y", Impl(Member("y", setvar), LexLe("y", "x"))))
     if kind == "arity":
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError("the arity must be at least 1")
         witnesses = ["y"] if n == 1 else [f"y{i}" for i in range(1, n + 1)]
         count = _exactly(n, lambda t: ImmediateLe("x", t), witnesses, "z")

@@ -42,7 +42,7 @@ class SearchBounds:
     structure_class: str
 
     def __post_init__(self):
-        if not isinstance(self.max_worlds, int) or self.max_worlds < 1:
+        if type(self.max_worlds) is not int or self.max_worlds < 1:
             raise SearchBoundError("max_worlds must be at least 1")
         if self.structure_class not in STRUCTURE_CLASSES:
             raise SearchBoundError(
@@ -112,65 +112,45 @@ def enumerate_trees(n: int, mode: str = INT) -> Iterator[Model]:
 # --- posets with a least element -----------------------------------------------
 
 
-def _canonical_form(matrix: list[list[bool]]) -> tuple:
-    """Minimum over relabelings (root fixed at index 0) of the flattened
-    order matrix; equal forms are exactly the isomorphic posets."""
-    n = len(matrix)
-    best = None
-    for perm in permutations(range(1, n)):
-        relabel = (0,) + perm
-        flat = tuple(
-            matrix[relabel[i]][relabel[j]] for i in range(n) for j in range(n)
-        )
-        if best is None or flat < best:
-            best = flat
-    return best
-
-
 def enumerate_posets(n: int, mode: str = INT) -> Iterator[Model]:
     """All partial orders with a least element on `n` worlds, one per
-    isomorphism class, in canonical order.  Capped at six worlds."""
+    isomorphism class, in canonical order.  Capped at six worlds.
+
+    An order is its rows of successor masks, world 0 in the highest bit, so
+    tuples of rows sort as the flattened order matrices do.  The canonical
+    form is the least tuple of relabeled rows over the relabelings that fix
+    the root; equal forms are exactly the isomorphic posets."""
     if n < 1 or n > POSET_WORLD_CAP:
         raise SearchBoundError(
             f"poset enumeration supports 1..{POSET_WORLD_CAP} worlds"
         )
     worlds = [f"w{i}" for i in range(n)]
-    if n == 1:
-        yield Model.poset(worlds, [], {}, mode)
-        return
+    bit = [1 << (n - 1 - i) for i in range(n)]
+    # each relabeling with its table: bit j of a relabeled row is bit
+    # relabel[j] of the row
+    tables = []
+    for perm in permutations(range(1, n)):
+        relabel = (0,) + perm
+        table = [sum(bit[j] for j in range(n) if row & bit[relabel[j]]) for row in range(1 << n)]
+        tables.append((relabel, table))
     # Strictly upper-triangular patterns over the non-root part: every
     # finite poset can be labeled so the index order is a linear extension.
     pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
     forms = set()
     for bits in range(1 << len(pairs)):
-        rel = [[i == j for j in range(n)] for i in range(n)]
+        up = [(1 << n) - 1] + bit[1:]
         for k, (i, j) in enumerate(pairs):
             if bits >> k & 1:
-                rel[i][j] = True
-        ok = True
-        for i in range(1, n):
-            for j in range(i + 1, n):
-                if not rel[i][j]:
-                    continue
-                for l in range(j + 1, n):
-                    if rel[j][l] and not rel[i][l]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for j in range(n):
-            rel[0][j] = True
-        forms.add(_canonical_form(rel))
+                up[i] |= bit[j]
+        if any(up[i] & bit[j] and up[j] & ~up[i] for i, j in pairs):
+            continue  # not transitive
+        forms.add(min(tuple(table[up[i]] for i in relabel) for relabel, table in tables))
     for form in sorted(forms):
         edges = [
             [worlds[i], worlds[j]]
             for i in range(n)
             for j in range(n)
-            if i != j and form[i * n + j]
+            if i != j and form[i] & bit[j]
         ]
         yield Model.poset(worlds, edges, {}, mode)
 

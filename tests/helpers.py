@@ -290,6 +290,47 @@ def brute_force_poset_forms(n):
     return forms
 
 
+def _reference_form(matrix):
+    """Minimum over relabelings (root fixed at index 0) of the flattened
+    order matrix; equal forms are exactly the isomorphic posets."""
+    n = len(matrix)
+    best = None
+    for perm in permutations(range(1, n)):
+        relabel = (0,) + perm
+        flat = tuple(
+            matrix[relabel[i]][relabel[j]] for i in range(n) for j in range(n)
+        )
+        if best is None or flat < best:
+            best = flat
+    return best
+
+
+def reference_posets(n, mode=INT):
+    """The posets with a least element on `n` worlds, in the order and with
+    the labels `search.enumerate_posets` must give: boolean order matrices
+    over the upper-triangular patterns, each reduced to its least flattened
+    relabeling, the forms sorted."""
+    worlds = [f"w{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
+    forms = set()
+    for bits in range(1 << len(pairs)):
+        rel = [[i == j or i == 0 for j in range(n)] for i in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if bits >> k & 1:
+                rel[i][j] = True
+        if any(rel[i][j] and rel[j][l] and not rel[i][l] for i, j in pairs for l in range(j + 1, n)):
+            continue
+        forms.add(_reference_form(rel))
+    for form in sorted(forms):
+        edges = [
+            [worlds[i], worlds[j]]
+            for i in range(n)
+            for j in range(n)
+            if i != j and form[i * n + j]
+        ]
+        yield Model.poset(worlds, edges, {}, mode)
+
+
 def model_order_matrix(m):
     n = len(m.worlds)
     return [

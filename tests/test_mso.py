@@ -97,6 +97,11 @@ def test_translate_mode_mismatch():
         translate_at(Var("p"), "x", "classical")
 
 
+def test_arity_predicate_refuses_a_bool():
+    with pytest.raises(ValueError, match="at least 1"):
+        build_predicate("arity", "T", True)
+
+
 def test_predicate_upward_closed():
     assert build_predicate("upward-closed", "T") == All1(
         "x",
@@ -220,6 +225,12 @@ def test_logic_class_parsing_and_names():
     assert LogicClass.parse("qpHt-0032") == LogicClass(INT, "arity", 32)
     with pytest.raises(ValueError, match="from 1 to 32"):
         LogicClass(INT, "arity", 33)
+
+
+def test_arity_class_refuses_a_bool():
+    # True == 1, but it would print as "qpHt-True", which parse refuses
+    with pytest.raises(ValueError, match="from 1 to 32"):
+        LogicClass(INT, "arity", True)
 
 
 def test_golden_sentences():

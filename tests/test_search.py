@@ -17,6 +17,7 @@ from helpers import (
     naive_forces_s4,
     poset_canonical,
     random_formula,
+    reference_posets,
     rooted_tree_count,
 )
 from qptrees.formula import (
@@ -118,6 +119,13 @@ def test_poset_enumeration_matches_brute_force():
         } == expected_forms
 
 
+def test_posets_come_in_the_reference_order():
+    # labels and edges of printed countermodels are read off this order
+    for mode, top in (("int", 6), ("s4", 5)):
+        for n in range(1, top + 1):
+            assert list(enumerate_posets(n, mode)) == list(reference_posets(n, mode))
+
+
 def test_posets_include_the_diamond():
     diamond = poset_canonical(model_order_matrix(diamond_model()))
     forms = {poset_canonical(model_order_matrix(m)) for m in enumerate_posets(4)}
@@ -144,6 +152,11 @@ def test_bounds_validation():
         SearchBounds(3, "lattices")
     with pytest.raises(SearchBoundError):
         bounded_validity(NOT_QEM, SearchBounds(7, "finite-posets"))
+
+
+def test_bounds_refuse_a_bool_world_count():
+    with pytest.raises(SearchBoundError):
+        SearchBounds(True, "chains")
 
 
 def test_not_qem_countermodel_is_unit_tree():
