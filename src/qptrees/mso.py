@@ -13,11 +13,15 @@ worlds and set quantifiers over *all* subsets of them.  Upward closure of
 the sets standing in for intuitionistic propositions is imposed by the
 guard the translation itself emits, not by the evaluator, which keeps this
 module independent of the forcing semantics it is used to cross-check.
-Each call compiles the formula into closures over node indices and
-bitmask sets: an innermost individual quantifier is one mask test, a
-guarded one loops over its guard's mask only, and set quantifiers still
-try every subset.  The prefix, immediate-successor and lexicographic
-relations are read off the model's words, never off the model's order.
+A formula is compiled into closures over node indices and bitmask sets on
+its first evaluation over a domain, and keeps that one program until it is
+freed or evaluated over another domain or environment layout, so a sweep
+over a tree's worlds compiles it once; calls fill slot lists of their own,
+so they may nest or run in threads.  An innermost individual quantifier is
+one mask test, a guarded one loops over its guard's mask only, and set
+quantifiers still try every subset.  The prefix, immediate-successor and
+lexicographic relations are read off the model's words, never off the
+model's order.
 
 Emitted text (stable, single line)::
 
@@ -419,10 +423,12 @@ _ATOMS = (Member, _Relation)
 
 
 class _Nodes:
-    """The nodes one evaluation can name, by index: the domain's worlds
-    first, in their sorted order, then each word outside the domain that the
+    """The nodes one call can name, by index: the domain's worlds first, in
+    their sorted order, then each word outside the domain that the
     environment mentions.  A relation R that an atom uses is read off the
-    words once per call: `below[j]` masks the i with i R j, `above[i]` the j."""
+    words when the formula is compiled and lives as long as the program,
+    which reads it in every call, from any thread, and never writes it:
+    `below[j]` masks the i with i R j, `above[i]` the j."""
 
     def __init__(self, worlds):
         self.words = list(worlds)
@@ -481,90 +487,91 @@ def _operands(g, scope: dict) -> tuple[list[int] | None, str | None]:
     return slots, None
 
 
-def _join(kind, left, right, s: list, k):
+def _join(kind, left, right, k):
     """Compile a binary connective over two compiled operands: bitwise when
     both are masks, else short-circuited as the reference walk is."""
     (l, lvec), (r, rvec) = left, right
     if lvec and rvec:
-        return ((lambda: l() & r()) if kind is Conj else (lambda: l() | r()) if kind is Disj
-                else (lambda: ~l() | r())), True
+        return ((lambda s: l(s) & r(s)) if kind is Conj else (lambda s: l(s) | r(s)) if kind is Disj
+                else (lambda s: ~l(s) | r(s))), True
     if lvec or rvec:  # a mask operand gives its bit at s[k]
-        l, r = [(lambda run=run: run() >> s[k] & 1) if vec else run for run, vec in (left, right)]
-    return ((lambda: l() and r()) if kind is Conj else (lambda: l() or r()) if kind is Disj
-            else (lambda: not l() or r())), False
+        l, r = [(lambda s, run=run: run(s) >> s[k] & 1) if vec else run for run, vec in (left, right)]
+    return ((lambda s: l(s) and r(s)) if kind is Conj else (lambda s: l(s) or r(s)) if kind is Disj
+            else (lambda s: not l(s) or r(s))), False
 
 
-def _compile(g: MsoFormula, scope: dict, s: list, nodes: _Nodes, k):
-    """Compile `g` to a closure over the slot list `s` (`scope` maps each
-    variable to its kind and slot) and say whether it is vector-valued: in
+def _compile(g: MsoFormula, scope: dict, slots: list, nodes: _Nodes, k):
+    """Compile `g` to a closure over a slot list `s`, its one argument
+    (`scope` maps each variable to its kind and slot, and each quantifier
+    appends its slot to `slots`), and say whether it is vector-valued: in
     the scope of individual slot `k`, a subformula with no quantifier and no
     failing atom gives the mask of the values of s[k] where it holds, never reading s[k]."""
     if isinstance(g, _ATOMS):
-        slots, error = _operands(g, scope)
+        operands, error = _operands(g, scope)
         if error is not None:
             # Raised only when reached: `false & x in X` is false, x unbound.
-            def fail():
+            def fail(s):
                 raise UnboundVariableError(error)
 
             return fail, False
-        a, b = slots
+        a, b = operands
         if isinstance(g, Subset):
-            test = lambda: not s[a] & ~s[b]
+            test = lambda s: not s[a] & ~s[b]
         elif isinstance(g, Member):
             if a == k:
-                return (lambda: s[b]), True
-            test = lambda: s[b] >> s[a] & 1
+                return (lambda s: s[b]), True
+            test = lambda s: s[b] >> s[a] & 1
         else:
             below, above = nodes.relation(type(g))
             if a == k == b:
                 diagonal = -(below[0] & 1)  # each relation is reflexive or irreflexive
-                return (lambda: diagonal), True
+                return (lambda s: diagonal), True
             if a == k:
-                return (lambda: below[s[b]]), True
+                return (lambda s: below[s[b]]), True
             if b == k:
-                return (lambda: above[s[a]]), True
-            test = lambda: below[s[b]] >> s[a] & 1
-        return (test, False) if k is None else ((lambda: -test()), True)
+                return (lambda s: above[s[a]]), True
+            test = lambda s: below[s[b]] >> s[a] & 1
+        return (test, False) if k is None else ((lambda s: -test(s)), True)
     if isinstance(g, Falsum):
-        return (lambda: 0), k is not None
+        return (lambda s: 0), k is not None
     if isinstance(g, _Connective):
-        left = _compile(g.left, scope, s, nodes, k)
-        return _join(type(g), left, _compile(g.right, scope, s, nodes, k), s, k)
+        left = _compile(g.left, scope, slots, nodes, k)
+        return _join(type(g), left, _compile(g.right, scope, slots, nodes, k), k)
     if isinstance(g, Neg):
-        body, vec = _compile(g.body, scope, s, nodes, k)
-        return ((lambda: ~body()), True) if vec else ((lambda: not body()), False)
+        body, vec = _compile(g.body, scope, slots, nodes, k)
+        return ((lambda s: ~body(s)), True) if vec else ((lambda s: not body(s)), False)
     if not isinstance(g, _Quantifier):
         raise TypeError(f"not a second-order formula node: {g!r}")
-    every, j, guard = isinstance(g, (All1, All2)), len(s), None
-    s.append(0)
+    every, j, guard = isinstance(g, (All1, All2)), len(slots), None
+    slots.append(0)
     if isinstance(g, (All2, Ex2)):
-        body, vec = _compile(g.body, {**scope, g.var: (_SET, j)}, s, nodes, None)
+        body, vec = _compile(g.body, {**scope, g.var: (_SET, j)}, slots, nodes, None)
         values = range(1 << nodes.size)
     else:
         # The leading mask-valued antecedents of all1, or conjuncts of ex1,
         # give the mask of the worlds the loop visits.
         scope, joint, h = {**scope, g.var: (_NODE, j)}, (Impl if every else Conj), g.body
         while isinstance(h, joint):
-            left = _compile(h.left, scope, s, nodes, j)
+            left = _compile(h.left, scope, slots, nodes, j)
             if not left[1]:
-                body, vec = _join(joint, left, _compile(h.right, scope, s, nodes, j), s, j)
+                body, vec = _join(joint, left, _compile(h.right, scope, slots, nodes, j), j)
                 break
-            guard = left if guard is None else _join(Conj, guard, left, s, j)
+            guard = left if guard is None else _join(Conj, guard, left, j)
             h = h.right
         else:
-            body, vec = _compile(h, scope, s, nodes, j)
+            body, vec = _compile(h, scope, slots, nodes, j)
         values, full = range(nodes.size), (1 << nodes.size) - 1
-    domain = guard[0] if guard else (lambda: -1)
+    domain = guard[0] if guard else (lambda s: -1)
     if vec:  # the whole body is one mask
-        return ((lambda: not full & domain() & ~body()) if every
-                else (lambda: full & domain() & body() != 0)), False
+        return ((lambda s: not full & domain(s) & ~body(s)) if every
+                else (lambda s: full & domain(s) & body(s) != 0)), False
 
-    def each():
-        d = domain()
+    def each(s):
+        d = domain(s)
         for v in values:
             if d >> v & 1:
                 s[j] = v
-                if (not body()) is every:  # a counterexample to all, a witness to ex
+                if (not body(s)) is every:  # a counterexample to all, a witness to ex
                     return not every
         return every
 
@@ -580,13 +587,14 @@ def eval_finite(f: MsoFormula, domain: Model, env: dict) -> bool:
     denotes the model's root.  Raises UnboundVariableError when a free
     variable that the evaluation reaches is missing from `env`.
 
-    `f` is compiled once per call into closures over a list of slots, one
-    per variable: a node is held as its index in the sorted worlds and a set
-    as a bitmask over them.  Words in `env` outside the domain get indices
-    of their own after the worlds, so they compare as words but are never
-    the value of a quantified variable.  Inside an individual quantifier, a
-    subformula with no quantifier and no unbound variable is a mask of
-    worlds: the quantifier is one mask test, or runs over its guards' mask.
+    `f` is compiled into closures over a list of slots, one per variable: a
+    node is held as its index in the sorted worlds and a set as a bitmask;
+    words of `env` outside the domain are numbered after the worlds and are
+    never the value of a quantifier.  `f` is compiled on the first call for
+    a key (the domain's worlds, the names and kinds of `env` in order, and
+    its words outside the domain), and the program stays on `f` until `f`
+    is freed or a call with another key replaces it.  Each call fills its
+    own slot list, so calls may nest or run in threads.
     """
     if domain.kind != "tree":
         raise ValueError("finite evaluation is defined over tree models")
@@ -607,4 +615,11 @@ def eval_finite(f: MsoFormula, domain: Model, env: dict) -> bool:
             raise ValueError(
                 f"environment entry {name!r} must be a node (tuple) or a set of nodes"
             )
-    return bool(_compile(f, scope, s, nodes, None)[0]())
+    # all that compiling reads: the domain size, the words, and the kind and slot of each name
+    key, cached = (nodes.size, nodes.words, scope), getattr(f, "_program", None)
+    if cached is None or cached[0] != key:
+        slots = list(s)
+        cached = key, (_compile(f, scope, slots, nodes, None)[0], len(slots))
+        object.__setattr__(f, "_program", cached)  # not a field: ==, hash and repr ignore it
+    run, width = cached[1]
+    return bool(run(s + [0] * (width - len(s))))

@@ -4,7 +4,8 @@ parser fails only in its own two ways, printing round-trips, a text
 compiles to the table of its tree, the syntax-tree walk finds the free
 variables and modality that the table records, `decide` always ends in a
 `KEY: value` line with exit 0, 1 or 2, the same bytes each time,
-`eval_finite` agrees with the reference walker on any MSO formula, and
+`eval_finite` agrees with the reference walker on any MSO formula, also
+when one formula is evaluated on several domains and environments, and
 `run` answers any command's argv as the top-level parser would."""
 
 import contextlib
@@ -188,8 +189,8 @@ TREES = [m for n in range(1, 6) for m in enumerate_trees(n)]
 
 
 @st.composite
-def domains_and_envs(draw):
-    m = draw(st.sampled_from(TREES))
+def domains_and_envs(draw, trees=st.sampled_from(TREES)):
+    m = draw(trees)
     nodes = st.one_of(st.sampled_from(m.worlds), st.lists(st.integers(0, 2), max_size=3).map(tuple))
     sets = st.frozensets(nodes, max_size=4)
     either = st.one_of(nodes, sets)
@@ -209,6 +210,23 @@ def eval_outcome(evaluate, f, m, env):
 def test_eval_finite_agrees_with_the_reference_walker(f, case):
     m, env = case
     assert eval_outcome(eval_finite, f, m, env) == eval_outcome(reference_eval_finite, f, m, env)
+
+
+# One formula object evaluated on several cases in turn, so that a case with
+# the key of the one before it runs the program compiled for that one.  The
+# cases share two trees, drawn apart and so at times the same, so that many
+# of them meet a program compiled for their domain but another environment;
+# the example changes only a word outside the domain.
+CASES = st.lists(st.sampled_from(TREES), min_size=2, max_size=2).flatmap(
+    lambda trees: st.lists(domains_and_envs(st.sampled_from(trees)), min_size=2, max_size=4))
+
+
+@TIER1
+@given(MSO_FORMULAS, CASES)
+@example(PrefixLe("x", "y"), [(TREES[1], {"x": (0,), "X": frozenset(), "y": w}) for w in ((0, 2), (2,))])
+def test_eval_finite_reuses_a_program_only_where_it_is_exact(f, cases):
+    for m, env in cases:
+        assert eval_outcome(eval_finite, f, m, env) == eval_outcome(reference_eval_finite, f, m, env)
 
 
 # Every command's full options, the good values each is given, and values

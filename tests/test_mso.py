@@ -1,10 +1,14 @@
+import gc
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from helpers import random_formula, random_tree
 from mso_reader import expand_immediate, free_names, read_mso, reference_eval_finite
+from qptrees import mso
 from qptrees.formula import (
     INT,
     S4,
@@ -42,7 +46,7 @@ from qptrees.mso import (
 )
 from qptrees.search import enumerate_trees
 from qptrees.semantics import extension_int, extension_s4
-from qptrees.suite import QEM
+from qptrees.suite import QEM, WEM_TO_LIN
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -526,3 +530,112 @@ def test_eval_kind_errors():
         assert_agrees(f, m, env)
     with pytest.raises(ValueError, match="must be a node"):
         eval_finite(Falsum(), m, {"x": [0]})
+
+
+# --- one compiled program per formula, reused while its key holds ---------------
+
+FIVE = Model.tree([(), (0,), (1,), (0, 0), (0, 1)])
+
+
+def count_compiles(monkeypatch):
+    """A function that counts how often the evaluator has compiled `f` whole."""
+    compiled, compile_ = [], mso._compile
+
+    def spy(g, *rest):
+        compiled.append(g)
+        return compile_(g, *rest)
+
+    monkeypatch.setattr(mso, "_compile", spy)
+    return lambda f: sum(g is f for g in compiled)
+
+
+def test_a_sweep_over_a_tree_compiles_once(monkeypatch):
+    compiles = count_compiles(monkeypatch)
+    for formula, mode in ((WEM_TO_LIN, INT), (QEM, INT), (parse_formula("dia box p", S4), S4)):
+        t = translate_at(formula, "x", mode)
+        env = {"T": set(FIVE.worlds), "X_p": {(0, 1)}}
+        for w in FIVE.worlds:
+            assert_agrees(t, FIVE, {**env, "x": w})
+        assert compiles(t) == 1
+
+
+def test_another_key_compiles_again(monkeypatch):
+    compiles = count_compiles(monkeypatch)
+    t = translate_at(QEM, "x", INT)
+    first = {"T": set(FIVE.worlds), "x": (0,)}
+    others = [
+        (chain(5), {"T": set(chain(5).worlds), "x": (0,)}),  # another tree
+        (FIVE, {"T": set(FIVE.worlds), "x": {(0,)}}),  # a name bound to the other kind
+        (FIVE, {"x": (0,), "T": set(FIVE.worlds)}),  # another order
+        (FIVE, {"T": set(FIVE.worlds) | {(7,)}, "x": (0,)}),  # a new word outside the domain
+        # the same words, one of them outside the domain
+        (Model.tree([(), (0,), (0, 0), (0, 1)]), {"T": set(FIVE.worlds), "x": (0,)}),
+    ]
+    for runs, (m, env) in enumerate(others, 1):
+        assert_agrees(t, FIVE, first)
+        assert_agrees(t, FIVE, {**first, "x": (1,)})  # the same key: no compile
+        assert_agrees(t, m, env)
+        assert compiles(t) == 2 * runs, env
+
+
+def test_evaluation_leaves_the_formula_as_it_was():
+    t, twin = translate_at(WEM_TO_LIN, "x", INT), translate_at(WEM_TO_LIN, "x", INT)
+    before = hash(t), repr(t), emit(t)
+    for w in FIVE.worlds:
+        assert eval_finite(t, FIVE, {"T": set(FIVE.worlds), "x": w}) is True
+    assert t == twin and twin == t
+    assert (hash(t), repr(t), emit(t)) == before == (hash(twin), repr(twin), emit(twin))
+
+
+def test_a_compiled_program_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        for formula, mode in ((WEM_TO_LIN, INT), (parse_formula("dia box p", S4), S4)):
+            t = translate_at(formula, "x", mode)
+            for w in FIVE.worlds:
+                eval_finite(t, FIVE, {"T": set(FIVE.worlds), "X_p": {w}, "x": w})
+        del t
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_threads_share_one_formula_object():
+    t = translate_at(parse_formula("forall q (p | q | ~q) | ~p"), "x", INT)
+    trees = list(enumerate_trees(4))[:4]
+    cases = [(m, {"T": set(m.worlds), "X_p": {m.worlds[-1]}, "x": w}) for m in trees for w in m.worlds]
+    expected = [reference_eval_finite(t, m, env) for m, env in cases]
+    assert len(set(expected)) == 2
+    results = {}
+
+    def sweep(i):
+        got = []
+        for _ in range(30):
+            for m, env in cases[i::4]:
+                got.append(eval_finite(t, m, env))
+        results[i] = got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(4):
+        assert results[i] == expected[i::4] * 30
+
+
+def test_a_compiled_program_still_refuses_bad_input():
+    t = translate_at(QEM, "x", INT)
+    env = {"T": set(FIVE.worlds), "x": ()}
+    assert eval_finite(t, FIVE, env) is False
+    with pytest.raises(ValueError, match="must be a node"):
+        eval_finite(t, FIVE, {**env, "x": [0]})
+    with pytest.raises(ValueError, match="defined over tree models"):
+        eval_finite(t, Model.poset(["a", "b"], [("a", "b")]), env)
