@@ -238,19 +238,13 @@ def run(argv) -> int:
         _parser = build_parser()
     try:
         # A known command's plain `--option value` pairs are read straight
-        # off its own options.  Any other argv of a known command goes to
-        # that command's parser, read once, into the top-level parser's
-        # namespace; leftovers get its usage line.  argparse alone prints
-        # help and usage errors, and reads an unknown command.
+        # off its own options.  Any other argv goes to argparse, which alone
+        # prints help and usage errors.
         command = _parser.commands.get(argv[0]) if argv else None
-        if command is None:
-            ns = _parser.parse_args(argv)
-        elif (values := _read_plain(command, argv[1:])) is not None:
+        if command is not None and (values := _read_plain(command, argv[1:])) is not None:
             ns = argparse.Namespace(command=argv[0], **values)
         else:
-            ns, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if extra:
-                _parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            ns = _parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     # A command returns all its lines before any is printed, so a failure

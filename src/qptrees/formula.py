@@ -174,7 +174,8 @@ class NodeTable:
     occurs in its body in one polarity only, or not at all: that one
     proposition decides the quantifier (see `semantics`).  It is None for
     every other node, so a quantifier with None ranges over all
-    propositions.
+    propositions.  `ranging` says whether some quantifier has None, and
+    `modal` whether some node is a BOX or DIA.
 
     A table holds only its nodes: `print_formula` gives back its text, and
     `parse_formula` of that text its syntax tree.
@@ -186,14 +187,12 @@ class NodeTable:
     fixed: tuple[str | None, ...]
     top: tuple[int, ...]
     schedules: tuple[tuple[int, ...], ...]
+    ranging: bool
+    modal: bool
 
     @property
     def root(self) -> int:
         return len(self.ops) - 1
-
-    @property
-    def modal(self) -> bool:
-        return BOX in self.ops or DIA in self.ops
 
 
 def compile_formula(f: Formula | str | NodeTable, lang: str = INT) -> NodeTable:
@@ -230,6 +229,7 @@ def _intern(entries: list[tuple]) -> NodeTable:
     ids, ops, args, fixed = [], [], [], []
     positive, negative = [], []  # per node id: bound variables of each polarity
     schedules, own = {}, []  # depth -> schedule of the binder open there, -1: top
+    ranging = modal = False
     for op, name, bit in entries:
         fix = None
         if op in (VAR, BOT):
@@ -251,7 +251,10 @@ def _intern(entries: list[tuple]) -> NodeTable:
                 fix = EMPTY if op == FORALL else FULL
             elif not positive[body] & bit:
                 fix = FULL if op == FORALL else EMPTY
+            else:
+                ranging = True
         else:
+            modal = True
             body = ids.pop()
             arg, pos, neg = (body,), positive[body], negative[body]
         # (op, arg) determines the polarity masks and `fix` as well, so nodes
@@ -271,7 +274,7 @@ def _intern(entries: list[tuple]) -> NodeTable:
         ids.append(i)
     free = tuple(sorted(a for op, a in zip(ops, args) if op == VAR and "#" not in a))
     top = tuple(schedules[-1])  # the root, at least
-    return NodeTable(tuple(ops), tuple(args), free, tuple(fixed), top, tuple(own))
+    return NodeTable(tuple(ops), tuple(args), free, tuple(fixed), top, tuple(own), ranging, modal)
 
 
 def _scan(f: Formula) -> tuple[frozenset[str], bool]:

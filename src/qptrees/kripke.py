@@ -19,7 +19,7 @@ uses at once compute equal lists, so forests are safe to share as well.
 from __future__ import annotations
 
 import json
-from itertools import accumulate, combinations, cycle, repeat, zip_longest
+from itertools import accumulate, combinations, cycle, repeat
 from operator import lshift, or_
 from typing import Iterable, Iterator
 
@@ -255,30 +255,6 @@ class Model:
     def _subset_masks(self) -> range:
         return range(1 << len(self.worlds))
 
-    def _offset_masks(self) -> tuple[tuple, tuple]:
-        """The order as offset masks (see :class:`Forest`), one per offset
-        d from 0 to the world count less one; the mask at d = 0 is 0."""
-        n = len(self.worlds)
-        ahead, behind = [0] * n, [0] * n
-        if self.kind == "tree":
-            # Each subtree is the run of indices that starts at its root, so
-            # v is a strict successor of v - d iff 0 < d < size(v - d).
-            by_size = [0] * (n + 1)
-            for w, mask in enumerate(self._up):
-                by_size[mask.bit_count()] |= 1 << w
-            larger = 0
-            for d in range(n - 1, 0, -1):
-                larger |= by_size[d + 1]
-                ahead[d] = larger << d
-        else:
-            for w, mask in enumerate(self._up):
-                for v in range(n):
-                    if v > w and mask >> v & 1:
-                        ahead[v - w] |= 1 << v
-                    elif v < w and mask >> v & 1:
-                        behind[w - v] |= 1 << v
-        return tuple(ahead), tuple(behind)
-
     # -- misc ----------------------------------------------------------------
 
     def to_obj(self) -> dict:
@@ -346,9 +322,12 @@ class Forest:
     each component's first world.  The order is kept as offset masks:
     `ahead` pairs each d > 0 with the worlds v whose world v - d is a
     strict predecessor of v, `behind` each d > 0 with the worlds v whose
-    world v + d is one.  So `down` costs two operations per offset however
-    many components there are.  A single model is a forest of one
-    component.
+    world v + d is one, both in ascending d and without empty masks.  So
+    `down` costs two operations per offset however many components there
+    are.  The forest reads these masks once, off its components' successor
+    masks: from the subtree sizes when every component is a tree, so a
+    long chain costs O(n), else pair by pair.  A single model is a forest
+    of one component.
 
     The forest keeps its models until the first intuitionistic
     `propositions` call, which zips their `_upset_masks` and drops them.
@@ -366,10 +345,33 @@ class Forest:
         offsets = list(accumulate(self.sizes, initial=0))
         self.full = (1 << offsets.pop()) - 1
         self.starts = sum(map(lshift, repeat(1), offsets))
-        # Components own disjoint bits: side by side is a sum of shifts.
-        ahead, behind = zip(*(m._offset_masks() for m in models))
-        self.ahead = _stacked(ahead, offsets)
-        self.behind = _stacked(behind, offsets)
+        # Components own disjoint bits, so each one's successor masks,
+        # shifted to its place, are the forest's.
+        up = [mask << offset for m, offset in zip(models, offsets) for mask in m._up]
+        n = max(self.sizes)  # no offset reaches n
+        ahead, behind = [0] * n, [0] * n
+        if all(m.kind == "tree" for m in models):
+            # Each subtree is the run of indices that starts at its root, so
+            # v - d is a strict predecessor of v iff 0 < d < size(v - d).
+            by_size = [0] * (n + 1)
+            for w, mask in enumerate(up):
+                by_size[mask.bit_count()] |= 1 << w
+            larger = 0
+            for d in range(n - 1, 0, -1):
+                larger |= by_size[d + 1]
+                ahead[d] = larger << d
+        else:
+            for w, mask in enumerate(up):
+                mask ^= 1 << w  # its strict successors
+                while mask:
+                    v = mask.bit_length() - 1
+                    mask ^= 1 << v
+                    if v > w:
+                        ahead[v - w] |= 1 << v
+                    else:
+                        behind[w - v] |= 1 << v
+        self.ahead = tuple((d, mask) for d, mask in enumerate(ahead) if mask)
+        self.behind = tuple((d, mask) for d, mask in enumerate(behind) if mask)
         shared = set.intersection(*(set(m._val_masks) for m in models))
         self.valuation = {
             var: sum(m._val_masks[var] << offset for m, offset in zip(models, offsets))
@@ -421,12 +423,6 @@ def _zip_across(sizes, propositions) -> list:
     for tile in tiles.values():
         zipped = list(map(or_, zipped, cycle(tile)))
     return zipped
-
-
-def _stacked(masks, offsets) -> tuple:
-    """(d, mask) for each offset d at which some component has a mask."""
-    columns = (sum(map(lshift, column, offsets)) for column in zip_longest(*masks, fillvalue=0))
-    return tuple((d, mask) for d, mask in enumerate(columns) if mask)
 
 
 # --- the model file format -------------------------------------------------

@@ -14,8 +14,6 @@ from itertools import permutations
 from typing import Iterator
 
 from .formula import (
-    EXISTS,
-    FORALL,
     INT,
     Formula,
     LanguageError,
@@ -65,11 +63,10 @@ class SearchOutcome:
 
 # Shapes by size: one entry per size already searched, holding its shapes
 # and, once trees of that size were searched, their forests (see
-# `_tree_forests`).  A forest keeps its models until its first
-# intuitionistic zip, which replaces them by their zipped upsets.  After
-# one search of `forall p (p -> p)` up to 11, 12 or 13 worlds the table
-# holds about 1.7, 6.4 or 25 MiB in int mode, and 5.6, 16 or 44 MiB after
-# S4 searches alone, nearly all of it forests (tracemalloc, CPython 3.11).
+# `_tree_forests`).  A forest zips its trees' upsets when it is built and
+# keeps no model, so the table holds the same in either mode: after one
+# search up to 11, 12 or 13 worlds, about 1.7, 6.4 or 25 MiB, nearly all
+# of it forests (tracemalloc, CPython 3.11).
 _shape_cache: dict[int, list] = {}
 
 
@@ -175,6 +172,8 @@ def _tree_forests(n: int) -> list:
     entry = _shape_cache[n]
     if entry[1] is None:
         entry[1] = [(run, Forest([Model.tree(_words(s)) for s in run])) for run in _runs(shapes, n)]
+        for _, forest in entry[1]:
+            forest.propositions(False)  # zips the upsets and drops the models
     return entry[1]
 
 
@@ -207,9 +206,7 @@ def bounded_validity(f: Formula | NodeTable, bounds: SearchBounds, mode: str = I
         raise SearchBoundError(
             f"poset search supports at most {POSET_WORLD_CAP} worlds"
         )
-    quantifiers = table.ops.count(FORALL) + table.ops.count(EXISTS)
-    constant = table.fixed.count(None) + quantifiers == len(table.fixed)  # every quantifier fixed
-    for n in range(1, 2 if constant else bounds.max_worlds + 1):
+    for n in range(1, bounds.max_worlds + 1 if table.ranging else 2):
         if cls == "finite-trees":
             forests = _tree_forests(n)
         else:

@@ -21,6 +21,8 @@ from mso_reader import reference_eval_finite
 from test_cli import DIAMOND, run_through_the_top_level
 from qptrees.cli import run
 from qptrees.formula import (
+    EXISTS,
+    FORALL,
     INT,
     S4,
     And,
@@ -83,7 +85,7 @@ ANY = st.one_of(
 )
 TEXTS = st.booleans().flatmap(lambda well_formed: WELL_FORMED if well_formed else ANY)
 LANGS = st.sampled_from((INT, S4))
-TABLE_FIELDS = ("ops", "args", "free", "fixed", "top", "schedules")
+TABLE_FIELDS = ("ops", "args", "free", "fixed", "top", "schedules", "ranging", "modal")
 
 
 def parsed(text, lang):
@@ -141,6 +143,9 @@ def test_the_tree_walk_agrees_with_the_table(f):
     table = compile_formula(f)
     assert free_vars(f) == frozenset(table.free)
     assert is_modal(f) == table.modal
+    # some quantifier ranges iff some FORALL or EXISTS node is not fixed
+    quantifiers = [i for i, op in enumerate(table.ops) if op in (FORALL, EXISTS)]
+    assert table.ranging == any(table.fixed[i] is None for i in quantifiers)
 
 
 def decide(text):

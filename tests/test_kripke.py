@@ -263,6 +263,32 @@ def below_by_definition(m, x):
     return sum(1 << w for w, above in enumerate(m._up) if above & x)
 
 
+def check_forest_order(models, rng):
+    """The forest of `models` has the offset masks the definition gives, in
+    ascending d with no empty mask, and `down` keeps each component to
+    itself."""
+    forest = Forest(models)
+    ahead, behind = {}, {}  # d -> a mask that is never empty
+    offset = 0
+    for m in models:
+        for w, above in enumerate(m._up):
+            for v in range(len(m.worlds)):
+                if v != w and above >> v & 1:  # w is a strict predecessor of v
+                    table, d = (ahead, v - w) if v > w else (behind, w - v)
+                    table[d] = table.get(d, 0) | 1 << offset + v
+        offset += len(m.worlds)
+    assert forest.ahead == tuple(sorted(ahead.items()))
+    assert forest.behind == tuple(sorted(behind.items()))
+    for _ in range(20):
+        parts = [rng.getrandbits(len(m.worlds)) for m in models]
+        x = expected = offset = 0
+        for m, part in zip(models, parts):
+            x |= part << offset
+            expected |= below_by_definition(m, part) << offset
+            offset += len(m.worlds)
+        assert forest.down(x) == expected
+
+
 def test_offset_masks_give_the_worlds_below():
     models = [m for n in range(1, 8) for m in enumerate_trees(n)]
     models += [m for n in range(1, 6) for m in enumerate_posets(n)]
@@ -290,16 +316,32 @@ def test_offset_masks_of_components_of_different_sizes():
     rng = random.Random(7)
     models = [m for n in range(1, 6) for m in enumerate_trees(n)] + list(enumerate_posets(4))
     for _ in range(20):
-        picked = rng.sample(models, 6)
-        forest = Forest(picked)
-        for _ in range(20):
-            parts = [rng.getrandbits(len(m.worlds)) for m in picked]
-            x = expected = offset = 0
-            for m, part in zip(picked, parts):
-                x |= part << offset
-                expected |= below_by_definition(m, part) << offset
-                offset += len(m.worlds)
-            assert forest.down(x) == expected
+        check_forest_order(rng.sample(models, 6), rng)
+
+
+def test_offset_masks_of_trees_of_mixed_sizes():
+    # every component a tree: the subtree-size rule, read across sizes
+    rng = random.Random(11)
+    trees = [m for n in range(1, 8) for m in enumerate_trees(n)] + [chain(9), chain(12)]
+    for _ in range(30):
+        check_forest_order(rng.sample(trees, rng.randint(2, 8)), rng)
+    # the largest tree anywhere in the forest
+    check_forest_order([chain(7), *enumerate_trees(3), chain(1)], rng)
+    check_forest_order(list(enumerate_trees(6))[::-1], rng)
+
+
+def test_offset_masks_of_trees_beside_a_poset():
+    # one poset among trees: the pairwise rule, applied to the trees too
+    rng = random.Random(12)
+    trees = [m for n in range(1, 7) for m in enumerate_trees(n)] + [chain(9)]
+    posets = list(enumerate_posets(4)) + [load_model(DIAMOND)]
+    for _ in range(30):
+        models = rng.sample(trees, rng.randint(1, 6))
+        models.insert(rng.randint(0, len(models)), rng.choice(posets))
+        check_forest_order(models, rng)
+    diamond = load_model(DIAMOND)  # its root is not its first world
+    check_forest_order([chain(5), diamond, chain(2)], rng)
+    check_forest_order([diamond, *enumerate_trees(5)], rng)
 
 
 def test_subsets_of_one_size_stay_a_range():

@@ -32,7 +32,7 @@ WORD = re.compile(r"->|[()&|~]|[a-z][a-zA-Z0-9_]*|\S")
 BLANKS = (" ", "\t", "\n", "\r\n", "  ")
 EDITS = ("-", "$", "é", "(", ")", ")", "((", "forall", "exists", "box", "dia", "&", "|", "->",
          "~", "bot", "p", "q1", "P", "0", "∧", "- >", "-)", "\x0c")
-TABLE_FIELDS = ("ops", "args", "free", "fixed", "top", "schedules")
+TABLE_FIELDS = ("ops", "args", "free", "fixed", "top", "schedules", "ranging", "modal")
 
 
 def outcome(parse, text, lang):

@@ -38,7 +38,7 @@ from qptrees.semantics import (
     forces_s4,
     validates,
 )
-from qptrees.search import SearchBounds, bounded_validity, enumerate_trees
+from qptrees.search import SearchBounds, _tree_forests, bounded_validity, enumerate_trees
 from qptrees.suite import QEM, WEM_TO_LIN, diamond_model
 
 
@@ -361,6 +361,7 @@ def test_fixed_quantifiers_enumerate_no_propositions(monkeypatch):
     def spy(*args):
         raise RuntimeError("propositions enumerated")
 
+    _tree_forests(1)  # a tree forest zips its upsets when it is built, before any evaluation
     monkeypatch.setattr(Model, "_upset_masks", spy)
     monkeypatch.setattr(Model, "_subset_masks", spy)
     # S4 subsets are laid out by the forest itself, without the model
