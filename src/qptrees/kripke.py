@@ -10,10 +10,10 @@ Two flavours of structure are supported:
 
 Worlds are stored sorted (lexicographically for words, string order for
 labels) and propositions are handled internally as bit vectors over that
-ordering, which fixes all enumeration orders.  Models are immutable after
-construction and safe to share between threads.  A forest of structures of
-any sizes zips its propositions on first use and keeps them; two first
-uses at once compute equal lists, so forests are safe to share as well.
+ordering, which fixes all enumeration orders.  Models are truly immutable:
+nothing is set on one after construction, so they are safe to share between
+threads.  A forest zips its propositions on first use and keeps them; two
+first uses at once compute equal lists, so forests are safe to share too.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class Model:
 
     __slots__ = (
         "kind", "mode", "worlds", "root", "valuation",
-        "_index", "_up", "_full", "_val_masks", "_upsets",
+        "_index", "_up", "_full", "_val_masks",
     )
 
     def __init__(self, kind, mode, worlds, up, valuation):
@@ -100,7 +100,6 @@ class Model:
         if root_index is None:
             raise NoLeastElementError("the order has no least element")
         self.root = self.worlds[root_index]
-        self._upsets = None
         self.valuation = {}
         self._val_masks = {}
         for var in sorted(valuation or {}):
@@ -159,10 +158,9 @@ class Model:
         n = len(sorted_ws)
         up = [1 << i for i in range(n)]
         for e in edges:
-            pair = tuple(e)
-            if len(pair) != 2:
+            if not isinstance(e, (list, tuple)) or len(e) != 2:
                 raise ModelFormatError(f"edge is not a pair: {e!r}")
-            a, b = pair
+            a, b = e
             if not isinstance(a, str) or not isinstance(b, str):
                 raise ModelFormatError(f"edge endpoints must be world labels: {e!r}")
             if a not in index or b not in index:
@@ -234,23 +232,8 @@ class Model:
         return acc
 
     def _upset_masks(self) -> tuple[int, ...]:
-        """All upward-closed subsets as bitmasks, ascending.
-
-        Worlds are added in order of rising successor count, so every
-        strict successor of a world is added before it.  The upsets found
-        so far are those of the worlds added so far, and the world joins
-        each of them that already holds all its strict successors; so the
-        cost is proportional to the number of upsets rather than to the
-        full powerset.
-        """
-        if self._upsets is None:
-            found = [0]
-            for i in sorted(range(len(self._up)), key=lambda i: self._up[i].bit_count()):
-                bit = 1 << i
-                above = self._up[i] & ~bit
-                found += [u | bit for u in found if not above & ~u]
-            self._upsets = tuple(sorted(found))
-        return self._upsets
+        """All upward-closed subsets as bitmasks, ascending."""
+        return _upsets_of(self._up)
 
     def _subset_masks(self) -> range:
         return range(1 << len(self.worlds))
@@ -304,6 +287,24 @@ class Model:
         )
 
 
+def _upsets_of(up) -> tuple[int, ...]:
+    """The upward-closed subsets of the order whose successor masks are
+    `up`, as bitmasks, ascending.
+
+    Worlds are added in order of rising successor count, so every strict
+    successor of a world is added before it.  The upsets found so far are
+    those of the worlds added so far, and the world joins each of them that
+    already holds all its strict successors; so the cost is proportional to
+    the number of upsets rather than to the full powerset.
+    """
+    found = [0]
+    for i in sorted(range(len(up)), key=lambda i: up[i].bit_count()):
+        bit = 1 << i
+        above = up[i] & ~bit
+        found += [u | bit for u in found if not above & ~u]
+    return tuple(sorted(found))
+
+
 def chain(n: int, mode: str = INT) -> Model:
     """The linear tree with exactly `n` worlds."""
     if n < 1:
@@ -329,14 +330,15 @@ class Forest:
     long chain costs O(n), else pair by pair.  A single model is a forest
     of one component.
 
-    The forest keeps its models until the first intuitionistic
-    `propositions` call, which zips their `_upset_masks` and drops them.
-    `valuation` assigns a variable only where every component assigns it.
+    The forest keeps no model, only its components' successor masks; the
+    first intuitionistic `propositions` call zips the upsets read off them
+    and drops them.  `valuation` assigns a variable only where every
+    component assigns it.
     """
 
     __slots__ = (
         "sizes", "full", "starts", "ahead", "behind", "valuation",
-        "_models", "_zipped", "_subsets",
+        "_ups", "_zipped", "_subsets",
     )
 
     def __init__(self, models):
@@ -345,9 +347,10 @@ class Forest:
         offsets = list(accumulate(self.sizes, initial=0))
         self.full = (1 << offsets.pop()) - 1
         self.starts = sum(map(lshift, repeat(1), offsets))
+        self._ups = [m._up for m in models]
         # Components own disjoint bits, so each one's successor masks,
         # shifted to its place, are the forest's.
-        up = [mask << offset for m, offset in zip(models, offsets) for mask in m._up]
+        up = [mask << offset for own, offset in zip(self._ups, offsets) for mask in own]
         n = max(self.sizes)  # no offset reaches n
         ahead, behind = [0] * n, [0] * n
         if all(m.kind == "tree" for m in models):
@@ -377,7 +380,6 @@ class Forest:
             var: sum(m._val_masks[var] << offset for m, offset in zip(models, offsets))
             for var in shared
         }
-        self._models = models
         one_size = len(set(self.sizes)) == 1  # then subset k is k * starts
         self._subsets = range(0, self.starts << self.sizes[0], self.starts) if one_size else None
 
@@ -404,10 +406,10 @@ class Forest:
             if self._subsets is None:
                 self._subsets = _zip_across(self.sizes, [range(1 << n) for n in self.sizes])
             return self._subsets
-        models = self._models
-        if models is not None:
-            self._zipped = _zip_across(self.sizes, [m._upset_masks() for m in models])
-            self._models = None
+        ups = self._ups
+        if ups is not None:
+            self._zipped = _zip_across(self.sizes, [_upsets_of(own) for own in ups])
+            self._ups = None
         return self._zipped
 
 

@@ -63,10 +63,10 @@ class SearchOutcome:
 
 # Shapes by size: one entry per size already searched, holding its shapes
 # and, once trees of that size were searched, their forests (see
-# `_tree_forests`).  A forest zips its trees' upsets when it is built and
-# keeps no model, so the table holds the same in either mode: after one
-# search up to 11, 12 or 13 worlds, about 1.7, 6.4 or 25 MiB, nearly all
-# of it forests (tracemalloc, CPython 3.11).
+# `_tree_forests`).  A forest keeps no model and zips upsets only for an
+# intuitionistic search: after one search up to 10, 11 or 12 worlds, the
+# table holds about 0.41, 1.24 or 3.6 MiB in S4 mode and 0.46, 1.70 or
+# 6.4 MiB in int mode, nearly all of it forests (tracemalloc, CPython 3.11).
 _shape_cache: dict[int, list] = {}
 
 
@@ -172,8 +172,6 @@ def _tree_forests(n: int) -> list:
     entry = _shape_cache[n]
     if entry[1] is None:
         entry[1] = [(run, Forest([Model.tree(_words(s)) for s in run])) for run in _runs(shapes, n)]
-        for _, forest in entry[1]:
-            forest.propositions(False)  # zips the upsets and drops the models
     return entry[1]
 
 

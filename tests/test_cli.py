@@ -237,6 +237,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         dict(poset, edges=[[["a"], "b"]]),
         dict(poset, edges=[[{}, "b"]]),
         dict(poset, valuation={"p": [{}]}),
+        # each edge is a pair: not a number, a bool, null, a string or an object
+        *(dict(poset, edges=[edge]) for edge in (0, True, None, "ab", {"a": 1, "b": 2})),
     ):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model))

@@ -5,21 +5,25 @@ compiles to the table of its tree, the syntax-tree walk finds the free
 variables and modality that the table records, `decide` always ends in a
 `KEY: value` line with exit 0, 1 or 2, the same bytes each time,
 `eval_finite` agrees with the reference walker on any MSO formula, also
-when one formula is evaluated on several domains and environments, and
-`run` answers any command's argv as the top-level parser would."""
+when one formula is evaluated on several domains and environments, `run`
+answers any command's argv as the top-level parser would, and whole
+searches agree across modes and nest across classes."""
 
 import contextlib
 import io
 import json
+import math
 import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import naive_forces_int
 from mso_reader import reference_eval_finite
 from test_cli import DIAMOND, run_through_the_top_level
 from qptrees.cli import run
+from qptrees.embedding import t_embed
 from qptrees.formula import (
     EXISTS,
     FORALL,
@@ -40,6 +44,7 @@ from qptrees.formula import (
     compile_formula,
     free_vars,
     is_modal,
+    neg,
     parse_formula,
     print_formula,
 )
@@ -62,7 +67,8 @@ from qptrees.mso import (
     Subset,
     eval_finite,
 )
-from qptrees.search import enumerate_trees
+from qptrees.kripke import Model
+from qptrees.search import SearchBounds, bounded_validity, enumerate_trees
 
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=200)
 TIER1 = settings.get_profile("tier1")
@@ -311,3 +317,51 @@ def model_file(tmp_path_factory):
 def test_run_reads_argv_as_the_top_level_parser_would(model_file, data):
     argv = data.draw(command_argv(model_file))
     assert captured(run, argv) == captured(run_through_the_top_level, argv), argv
+
+
+# Closed intuitionistic formulas that hold on one world, so that their
+# refutations, if any, have more than one.  Half are universal closures of
+# classical tautologies that intuitionistic logic lacks, which many trees
+# refute.
+ONE_WORLD = Model.tree([()])
+CLASSICAL = (
+    lambda a, b: Or(a, neg(a)),
+    lambda a, b: Implies(neg(neg(a)), a),
+    lambda a, b: Or(neg(a), neg(neg(a))),
+    lambda a, b: Or(Implies(a, b), Implies(b, a)),
+    lambda a, b: Implies(Implies(Implies(a, b), a), a),
+)
+
+
+@st.composite
+def closed_formulas(draw):
+    f = draw(trees(INT))
+    classical = draw(st.booleans())
+    if classical:
+        f = draw(st.sampled_from(CLASSICAL))(f, draw(trees(INT)))
+    for var in sorted(free_vars(f)):
+        f = (Forall if classical else draw(st.sampled_from((Forall, Exists))))(var, f)
+    return f
+
+
+SEARCH_BOUNDS = {"finite-posets": 4, "finite-trees": 5, "chains": 5}
+
+
+@settings(TIER1, max_examples=100)
+@given(closed_formulas().filter(lambda f: naive_forces_int(ONE_WORLD, (), f)))
+@example(parse_formula("forall p (p | ~p)"))  # refuted on two worlds in every class
+@example(parse_formula("forall p forall q ((p -> q) | (q -> p))"))  # on three, but on no chain
+@example(parse_formula("forall p (~p | ~~p) -> forall p forall q ((p -> q) | (q -> p))"))  # on the diamond
+def test_whole_searches_agree_across_modes_and_nest_across_classes(f):
+    least = {}
+    for cls, bound in SEARCH_BOUNDS.items():
+        bounds = SearchBounds(bound, cls)
+        found = bounded_validity(f, bounds).countermodel
+        # the S4 image of f is refuted by the same structure, or by none
+        image = bounded_validity(t_embed(f), bounds, S4).countermodel
+        assert (found and found.with_mode(S4)) == image, cls
+        least[cls] = len(found.worlds) if found else math.inf
+    # chains are trees and trees of at most four worlds are posets
+    assert least["finite-trees"] <= least["chains"]
+    if least["finite-trees"] <= SEARCH_BOUNDS["finite-posets"]:
+        assert least["finite-posets"] <= least["finite-trees"]

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -94,6 +96,13 @@ def test_load_rejects_garbage():
         load_model('{"kind": "poset", "worlds": ["a"], "edges": [["a", "zz"]]}')
     with pytest.raises(ModelFormatError):
         load_model(DIAMOND.replace('"mode": "int"', '"mode": "k4"'))
+
+
+def test_poset_edges_are_pairs():
+    for edge in (0, True, None, "ab", {"a": 1, "b": 2}, ["a"], ("a", "b", "b")):
+        with pytest.raises(ModelFormatError, match="edge is not a pair"):
+            Model.poset(["a", "b"], [edge])
+    assert Model.poset(["a", "b"], [("a", "b")]) == Model.poset(["a", "b"], [["a", "b"]])
 
 
 def test_closure_of_supplied_edges():
@@ -376,3 +385,32 @@ def test_offset_masks_of_a_long_chain():
         assert forest.down(x) == below_by_definition(m, x)
         # on a chain, a world lies below x iff it lies below x's last world
         assert forest.down(x) == (1 << x.bit_length()) - 1
+
+
+class Tracked(Model):
+    """A model that weak references can follow."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_a_forest_keeps_no_model():
+    diamond = load_model(DIAMOND).with_valuation({"p": ["t"]})
+    cases = {
+        "trees": lambda: list(enumerate_trees(5)),
+        "posets": lambda: list(enumerate_posets(4)),
+        "chains": lambda: [chain(n) for n in (1, 3, 5)],
+        "one model": lambda: [diamond],
+    }
+    for name, models in cases.items():
+        for mode in ("int", "s4"):
+            expected = Forest([m.with_mode(mode) for m in models()]).propositions(mode == "s4")
+            for zip_first in (False, True):
+                tracked = [Tracked(m.kind, mode, m.worlds, m._up, m.valuation) for m in models()]
+                forest = Forest(tracked)
+                if zip_first:
+                    forest.propositions(mode == "s4")
+                refs = [weakref.ref(m) for m in tracked]
+                del tracked
+                gc.collect()
+                assert [ref() for ref in refs] == [None] * len(refs), (name, mode, zip_first)
+                assert forest.propositions(mode == "s4") == expected

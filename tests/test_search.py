@@ -23,7 +23,7 @@ from helpers import (
 from qptrees.formula import (
     EXISTS, FORALL, INT, S4, LanguageError, OpenFormulaError, Var, compile_formula, parse_formula,
 )
-from qptrees import cli, search
+from qptrees import cli, kripke, search
 from qptrees.embedding import t_embed
 from qptrees.kripke import Forest, Model, chain, dump_model
 from qptrees.search import (
@@ -402,6 +402,7 @@ def test_a_later_search_builds_no_forest_and_zips_nothing(monkeypatch):
     init = Forest.__init__
     monkeypatch.setattr(Forest, "__init__", lambda self, *args: built.append(args) or init(self, *args))
     monkeypatch.setattr(Model, "_upset_masks", lambda self: built.append(self) or ())
+    monkeypatch.setattr(kripke, "_upsets_of", lambda up: built.append(up) or ())
     assert bounded_validity(f, bounds) == first
     assert bounded_validity(t_embed(f), SearchBounds(6, "finite-trees"), S4).countermodel is None
     assert built == []
@@ -441,18 +442,18 @@ def live_models():
 
 def test_forest_zips_its_propositions_once_and_drops_their_source(fresh_table):
     before = live_models()
-    # each tree forest zips its upsets when it is built, so an S4 search
-    # alone keeps no tree's model
+    # a tree forest keeps its trees' successor masks, not their models, so
+    # an S4 search alone keeps no tree's model
     reflexive = parse_formula("forall p (box p -> p)", S4)
     assert bounded_validity(reflexive, SearchBounds(10, "finite-trees"), S4).countermodel is None
     assert live_models() == before
-    # and an intuitionistic search after it reuses the zipped upsets
+    # and an intuitionistic search after it zips them in place of the masks
     bounds = SearchBounds(8, "finite-trees")
     assert bounded_validity(NOT_NOT_QEM, bounds).countermodel is None
     assert live_models() == before
     trees = iter(structures_up_to("finite-trees", 8, INT))
     for shapes, forest in tree_forests_up_to(8):
-        assert forest._models is None
+        assert forest._ups is None
         first = forest.propositions(False)
         assert forest.propositions(False) == first
         assert forest.propositions(False) is first
@@ -462,6 +463,26 @@ def test_forest_zips_its_propositions_once_and_drops_their_source(fresh_table):
             local = {p >> offset & m._full for p in first}
             assert local == set(m._upset_masks())
             offset += len(m.worlds)
+
+
+def test_only_an_intuitionistic_search_zips_each_tree_forest_once(fresh_table, monkeypatch):
+    calls = {"_upsets_of": [], "_zip_across": []}
+    for name, seen in calls.items():
+        real = getattr(kripke, name)
+        monkeypatch.setattr(kripke, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
+    bounds = SearchBounds(8, "finite-trees")
+    # S4 quantifiers range over all subsets: no upset is listed
+    assert bounded_validity(parse_formula("forall p (box p -> p)", S4), bounds, S4).countermodel is None
+    assert calls == {"_upsets_of": [], "_zip_across": []}
+    # the first intuitionistic search zips each forest once, from each tree's successor masks
+    assert bounded_validity(NOT_NOT_QEM, bounds).countermodel is None
+    forests = tree_forests_up_to(8)
+    assert [sizes for sizes, _ in calls["_zip_across"]] == [forest.sizes for _, forest in forests]
+    assert [up for up, in calls["_upsets_of"]] == [m._up for m in structures_up_to("finite-trees", 8, INT)]
+    before = {name: len(seen) for name, seen in calls.items()}
+    assert bounded_validity(NOT_NOT_QEM, bounds).countermodel is None
+    assert bounded_validity(parse_formula("forall p (box p -> p)", S4), bounds, S4).countermodel is None
+    assert {name: len(seen) for name, seen in calls.items()} == before
 
 
 # --- the forests: one size class each, cut into runs ------------------------------

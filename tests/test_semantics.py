@@ -30,6 +30,7 @@ from qptrees.formula import (
     neg,
     parse_formula,
 )
+from qptrees import kripke
 from qptrees.kripke import Forest, Model, chain, enumerate_subsets, enumerate_upsets, upward_closure
 from qptrees.semantics import (
     extension_int,
@@ -38,7 +39,7 @@ from qptrees.semantics import (
     forces_s4,
     validates,
 )
-from qptrees.search import SearchBounds, _tree_forests, bounded_validity, enumerate_trees
+from qptrees.search import SearchBounds, bounded_validity, enumerate_trees
 from qptrees.suite import QEM, WEM_TO_LIN, diamond_model
 
 
@@ -361,8 +362,8 @@ def test_fixed_quantifiers_enumerate_no_propositions(monkeypatch):
     def spy(*args):
         raise RuntimeError("propositions enumerated")
 
-    _tree_forests(1)  # a tree forest zips its upsets when it is built, before any evaluation
     monkeypatch.setattr(Model, "_upset_masks", spy)
+    monkeypatch.setattr(kripke, "_upsets_of", spy)
     monkeypatch.setattr(Model, "_subset_masks", spy)
     # S4 subsets are laid out by the forest itself, without the model
     monkeypatch.setattr(Forest, "propositions", spy)
