@@ -12,15 +12,15 @@ Worlds are stored sorted (lexicographically for words, string order for
 labels) and propositions are handled internally as bit vectors over that
 ordering, which fixes all enumeration orders.  Models are truly immutable:
 nothing is set on one after construction, so they are safe to share between
-threads.  A forest zips its propositions on first use and keeps them; two
-first uses at once compute equal lists, so forests are safe to share too.
+threads.  A forest zips its upsets on first use and keeps them; two first
+uses at once compute equal lists, so forests are safe to share too.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import accumulate, combinations, cycle, repeat
-from operator import lshift, or_
+from itertools import combinations, cycle
+from operator import or_
 from typing import Iterable, Iterator
 
 from .formula import INT, S4
@@ -316,42 +316,36 @@ def chain(n: int, mode: str = INT) -> Model:
 
 
 class Forest:
-    """Rooted structures side by side as one bit vector.
+    """Rooted structures of one size side by side as one bit vector.
 
-    Component i holds `sizes[i]` worlds, in the order of its own worlds,
-    right after the worlds of component i - 1, and `starts` has a bit at
-    each component's first world.  The order is kept as offset masks:
-    `ahead` pairs each d > 0 with the worlds v whose world v - d is a
-    strict predecessor of v, `behind` each d > 0 with the worlds v whose
-    world v + d is one, both in ascending d and without empty masks.  So
-    `down` costs two operations per offset however many components there
-    are.  The forest reads these masks once, off its components' successor
+    Every component holds `size` worlds, in the order of its own worlds:
+    component k from bit k * size on, and `starts` has a bit at each
+    component's first world.  The order is kept as offset masks: `ahead`
+    pairs each d > 0 with the worlds v whose world v - d is a strict
+    predecessor of v, `behind` each d > 0 with the worlds v whose world
+    v + d is one, both in ascending d and without empty masks.  So `down`
+    costs two operations per offset however many components there are.
+    The forest reads these masks once, off its components' successor
     masks: from the subtree sizes when every component is a tree, so a
     long chain costs O(n), else pair by pair.  A single model is a forest
     of one component.
 
-    The forest keeps no model, only its components' successor masks; the
-    first intuitionistic `propositions` call zips the upsets read off them
-    and drops them.  `valuation` assigns a variable only where every
-    component assigns it.
+    The forest keeps no model and no valuation, only its components'
+    successor masks; the first intuitionistic `propositions` call zips the
+    upsets read off them and drops them.
     """
 
-    __slots__ = (
-        "sizes", "full", "starts", "ahead", "behind", "valuation",
-        "_ups", "_zipped", "_subsets",
-    )
+    __slots__ = ("size", "full", "starts", "ahead", "behind", "_ups", "_zipped")
 
     def __init__(self, models):
-        """The models side by side in the given order."""
-        self.sizes = tuple(len(m.worlds) for m in models)
-        offsets = list(accumulate(self.sizes, initial=0))
-        self.full = (1 << offsets.pop()) - 1
-        self.starts = sum(map(lshift, repeat(1), offsets))
+        """The models, all of one size, side by side in the given order."""
         self._ups = [m._up for m in models]
+        n = self.size = len(self._ups[0])  # no offset reaches n
+        self.full = (1 << n * len(self._ups)) - 1
+        self.starts = sum(1 << k * n for k in range(len(self._ups)))
         # Components own disjoint bits, so each one's successor masks,
         # shifted to its place, are the forest's.
-        up = [mask << offset for own, offset in zip(self._ups, offsets) for mask in own]
-        n = max(self.sizes)  # no offset reaches n
+        up = [mask << k * n for k, own in enumerate(self._ups) for mask in own]
         ahead, behind = [0] * n, [0] * n
         if all(m.kind == "tree" for m in models):
             # Each subtree is the run of indices that starts at its root, so
@@ -375,13 +369,6 @@ class Forest:
                         behind[w - v] |= 1 << v
         self.ahead = tuple((d, mask) for d, mask in enumerate(ahead) if mask)
         self.behind = tuple((d, mask) for d, mask in enumerate(behind) if mask)
-        shared = set.intersection(*(set(m._val_masks) for m in models))
-        self.valuation = {
-            var: sum(m._val_masks[var] << offset for m, offset in zip(models, offsets))
-            for var in shared
-        }
-        one_size = len(set(self.sizes)) == 1  # then subset k is k * starts
-        self._subsets = range(0, self.starts << self.sizes[0], self.starts) if one_size else None
 
     def down(self, x: int) -> int:
         """The worlds that lie below or at some world of `x`."""
@@ -397,30 +384,28 @@ class Forest:
 
         Proposition k is the union over the components of each one's
         proposition k mod (its number of propositions), so every component
-        meets each of its own propositions at least once.  In S4 mode a
-        component of n worlds has its 2**n subsets in counting order, so
-        with one size proposition k is k * starts, a `range`; with several,
-        the zip is listed on first use and kept.
+        meets each of its own propositions at least once.  In S4 mode every
+        component has its 2**size subsets in counting order, so proposition
+        k is k * starts, a `range`.
         """
         if s4:
-            if self._subsets is None:
-                self._subsets = _zip_across(self.sizes, [range(1 << n) for n in self.sizes])
-            return self._subsets
+            return range(0, self.starts << self.size, self.starts)
         ups = self._ups
         if ups is not None:
-            self._zipped = _zip_across(self.sizes, [_upsets_of(own) for own in ups])
+            self._zipped = _zip_across(self.size, [_upsets_of(own) for own in ups])
             self._ups = None
         return self._zipped
 
 
-def _zip_across(sizes, propositions) -> list:
-    """Each component's own `propositions`, zipped as `Forest.propositions` says."""
+def _zip_across(size, propositions) -> list:
+    """Each component's own `propositions`, component k at offset k * size,
+    zipped as `Forest.propositions` says."""
     # Components with as many propositions as each other are merged first,
     # then each merged list is repeated up to the longest one.
     tiles = {}
-    for offset, own in zip(accumulate(sizes, initial=0), propositions):
+    for k, own in enumerate(propositions):
         tile = tiles.get(len(own)) or [0] * len(own)
-        tiles[len(own)] = [t | p << offset for t, p in zip(tile, own)]
+        tiles[len(own)] = [t | p << k * size for t, p in zip(tile, own)]
     zipped = [0] * max(tiles)
     for tile in tiles.values():
         zipped = list(map(or_, zipped, cycle(tile)))

@@ -142,21 +142,17 @@ def enumerate_posets(n: int, mode: str = INT) -> Iterator[Model]:
         if any(up[i] & bit[j] and up[j] & ~up[i] for i, j in pairs):
             continue  # not transitive
         forms.add(min(tuple(table[up[i]] for i in relabel) for relabel, table in tables))
+    # The labels sort in index order, so row i, read back into successor
+    # masks, is world i's; a form is a partial order with root w0 as it is.
     for form in sorted(forms):
-        edges = [
-            [worlds[i], worlds[j]]
-            for i in range(n)
-            for j in range(n)
-            if i != j and form[i] & bit[j]
-        ]
-        yield Model.poset(worlds, edges, {}, mode)
+        yield Model("poset", mode, worlds, [sum(1 << j for j in range(n) if row & bit[j]) for row in form], {})
 
 
 # --- the search itself -------------------------------------------------------------
 
-# The most worlds one forest holds.  A ranging quantifier tries each
-# proposition of its largest component, so the best width needs measuring;
-# tree forests and their zipped propositions are kept for the process.
+# The most worlds one forest holds.  A ranging quantifier tries as many
+# propositions as its components have at most, so the best width needs
+# measuring; tree forests and their zipped upsets are kept for the process.
 FOREST_WORLDS = 512
 
 

@@ -9,12 +9,13 @@ renamed-apart variable and re-runs only its own schedule, so parts that
 do not use that variable are not re-evaluated in its loop, and no formula
 is hashed while evaluating.
 
-Evaluation runs on a `kripke.Forest`: rooted structures side by side in
-one bit vector, a single model being a forest of one component.  The
-order enters only through `Forest.down`, the worlds with a successor in a
-set, which `->` (intuitionistic), `box` and `dia` need.  So one evaluation
-decides a closed formula on every structure of a forest at once, whatever
-their sizes; that is how `search` uses it.
+Evaluation runs on a `kripke.Forest`: rooted structures of one size side
+by side in one bit vector, a single model being a forest of one
+component, whose valuation is passed beside it.  The order enters only
+through `Forest.down`, the worlds with a successor in a set, which `->`
+(intuitionistic), `box` and `dia` need.  So one evaluation decides a
+closed formula on every structure of a forest at once; that is how
+`search` uses it.
 
 Propositional quantifiers range over all upward-closed subsets of the
 worlds in intuitionistic mode, over all subsets in S4 mode; the empty and
@@ -23,13 +24,13 @@ zipped propositions of `Forest.propositions`: proposition k is the union
 of proposition k mod |U_i| of each component i, where U_i lists that
 component's own propositions.  That is exact, by locality.  Truth at a
 world depends only on the worlds above it and the valuation there, and a
-world's successors all lie in its own component, one run of bits whatever
-the sizes beside it; so each clause computes, on component i, what it
-would compute on structure i alone with every variable assigned its trace
-there.  The trace of proposition k on component i is U_i[k mod |U_i|], and
-as k runs through all the zipped propositions, as many as the longest U_i,
-that runs through all of U_i, repeats aside, which change no intersection
-and no union.  By induction, the slice of every extension on component i
+world's successors all lie in its own component, one run of bits; so each
+clause computes, on component i, what it would compute on structure i
+alone with every variable assigned its trace there.  The trace of
+proposition k on component i is U_i[k mod |U_i|], and as k runs through
+all the zipped propositions, as many as the longest U_i, that runs
+through all of U_i, repeats aside, which change no intersection and no
+union.  By induction, the slice of every extension on component i
 is the extension on structure i alone.
 
 A quantifier whose variable occurs in its body in one polarity only, or
@@ -41,8 +42,8 @@ readings, and `&`, `|`, `box`, `dia` and the quantifiers over other
 variables are monotone; so for a positive-only p, U included in U' gives
 ext(A[p:=U]) included in ext(A[p:=U']), and the intersection over all U,
 the extension of `forall p A`, is ext(A[p:=empty]).  Only the remaining
-quantifiers enumerate propositions; a forest zips its list on the first
-evaluation that reaches one, and keeps it for later ones.  So a closed
+quantifiers enumerate propositions; a forest zips its upsets on the first
+intuitionistic evaluation that reaches one, and keeps them.  So a closed
 formula whose quantifiers are all fixed is a constant, empty or full on
 every structure, as `bot` and `~bot` are: on empty and full, `->`, `box`
 and `dia` give empty or full again, as every world sees itself.
@@ -77,8 +78,8 @@ from .formula import (
 from .kripke import Forest, Model
 
 
-def _extension_mask(forest: Forest, t: NodeTable, s4: bool) -> int:
-    val = dict(forest.valuation)
+def _extension_mask(forest: Forest, t: NodeTable, s4: bool, valuation) -> int:
+    val = dict(valuation)
     for v in t.free:
         if v not in val:
             raise UnboundVariableError(f"no proposition assigned to variable {v!r}")
@@ -139,10 +140,10 @@ def _extension_mask(forest: Forest, t: NodeTable, s4: bool) -> int:
         run = None
 
 
-def forest_extension(forest: Forest, f: Formula | NodeTable, mode: str) -> int:
+def forest_extension(forest: Forest, f: Formula | NodeTable, mode: str, valuation=()) -> int:
     """The extension of `f` on every component of `forest` at once, as a
-    mask over the forest's worlds."""
-    mask = _extension_mask(forest, compile_formula(f), s4=mode == S4)
+    mask over the forest's worlds; `valuation` maps variables to masks."""
+    mask = _extension_mask(forest, compile_formula(f), mode == S4, valuation)
     if mode == INT and forest.down(forest.full & ~mask) & mask:
         raise AssertionError("intuitionistic extension not upward closed")
     return mask
@@ -158,7 +159,7 @@ def _model_table(m: Model, f: Formula | NodeTable, mode: str) -> NodeTable:
 
 
 def _model_mask(m: Model, t: NodeTable) -> int:
-    return forest_extension(Forest([m]), t, m.mode)
+    return forest_extension(Forest([m]), t, m.mode, m._val_masks)
 
 
 def extension_int(m: Model, f: Formula | NodeTable) -> frozenset:

@@ -321,36 +321,39 @@ def test_offset_masks_give_the_worlds_below():
                 assert forest.down(x) == expected
 
 
-def test_offset_masks_of_components_of_different_sizes():
+def test_offset_masks_of_shuffled_components():
+    # trees and posets of one size in any order: the pairwise rule
     rng = random.Random(7)
-    models = [m for n in range(1, 6) for m in enumerate_trees(n)] + list(enumerate_posets(4))
-    for _ in range(20):
-        check_forest_order(rng.sample(models, 6), rng)
+    for n in range(1, 6):
+        models = [*enumerate_trees(n), *enumerate_posets(n)]
+        for _ in range(6):
+            check_forest_order(rng.sample(models, min(len(models), 6)), rng)
 
 
-def test_offset_masks_of_trees_of_mixed_sizes():
-    # every component a tree: the subtree-size rule, read across sizes
+def test_offset_masks_of_tree_forests():
+    # every component a tree: the subtree-size rule
     rng = random.Random(11)
-    trees = [m for n in range(1, 8) for m in enumerate_trees(n)] + [chain(9), chain(12)]
-    for _ in range(30):
-        check_forest_order(rng.sample(trees, rng.randint(2, 8)), rng)
-    # the largest tree anywhere in the forest
-    check_forest_order([chain(7), *enumerate_trees(3), chain(1)], rng)
+    for n in range(1, 8):
+        trees = [chain(n), *enumerate_trees(n)]
+        rng.shuffle(trees)
+        check_forest_order(trees, rng)
     check_forest_order(list(enumerate_trees(6))[::-1], rng)
+    check_forest_order([chain(12)] * 3, rng)
 
 
 def test_offset_masks_of_trees_beside_a_poset():
     # one poset among trees: the pairwise rule, applied to the trees too
     rng = random.Random(12)
-    trees = [m for n in range(1, 7) for m in enumerate_trees(n)] + [chain(9)]
-    posets = list(enumerate_posets(4)) + [load_model(DIAMOND)]
-    for _ in range(30):
-        models = rng.sample(trees, rng.randint(1, 6))
-        models.insert(rng.randint(0, len(models)), rng.choice(posets))
-        check_forest_order(models, rng)
+    for n in range(2, 7):
+        posets = list(enumerate_posets(n))
+        for _ in range(6):
+            models = list(enumerate_trees(n))
+            models.insert(rng.randint(0, len(models)), rng.choice(posets))
+            check_forest_order(models, rng)
     diamond = load_model(DIAMOND)  # its root is not its first world
-    check_forest_order([chain(5), diamond, chain(2)], rng)
-    check_forest_order([diamond, *enumerate_trees(5)], rng)
+    trees = list(enumerate_trees(4))
+    for k in range(len(trees) + 1):
+        check_forest_order(trees[:k] + [diamond] + trees[k:], rng)
 
 
 def test_subsets_of_one_size_stay_a_range():
@@ -361,19 +364,6 @@ def test_subsets_of_one_size_stay_a_range():
     trees = list(enumerate_trees(4, "s4"))
     subsets = Forest(trees).propositions(True)
     assert subsets == range(0, Forest(trees).starts << 4, Forest(trees).starts)
-
-
-def test_subsets_of_different_sizes_are_zipped():
-    def expected(sizes):
-        # subset k of each component is k mod 2**n, placed at its offset
-        offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-        return [sum(k % (1 << n) << o for n, o in zip(sizes, offsets)) for k in range(1 << max(sizes))]
-
-    # listed on first use and kept
-    for sizes in ([2, 3, 3], [2, 3, 2], [1, 6, 2, 5]):
-        forest = Forest([chain(n, "s4") for n in sizes])
-        subsets = forest.propositions(True)
-        assert subsets == expected(sizes) and forest.propositions(True) is subsets
 
 
 def test_offset_masks_of_a_long_chain():
@@ -398,7 +388,7 @@ def test_a_forest_keeps_no_model():
     cases = {
         "trees": lambda: list(enumerate_trees(5)),
         "posets": lambda: list(enumerate_posets(4)),
-        "chains": lambda: [chain(n) for n in (1, 3, 5)],
+        "trees and chains": lambda: [chain(4), *enumerate_trees(4), chain(4)],
         "one model": lambda: [diamond],
     }
     for name, models in cases.items():

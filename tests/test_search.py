@@ -25,7 +25,7 @@ from qptrees.formula import (
 )
 from qptrees import cli, kripke, search
 from qptrees.embedding import t_embed
-from qptrees.kripke import Forest, Model, chain, dump_model
+from qptrees.kripke import Forest, Model, chain, dump_model, load_model
 from qptrees.search import (
     FOREST_WORLDS,
     SearchBoundError,
@@ -124,6 +124,14 @@ def test_posets_come_in_the_reference_order():
     for mode, top in (("int", 6), ("s4", 5)):
         for n in range(1, top + 1):
             assert list(enumerate_posets(n, mode)) == list(reference_posets(n, mode))
+
+
+def test_enumerated_posets_survive_a_round_trip_through_the_file_format():
+    # the enumeration builds its masks directly; the file format goes through Model.poset
+    for mode in ("int", "s4"):
+        for n in range(1, 7):
+            for m in enumerate_posets(n, mode):
+                assert load_model(dump_model(m)) == m, dump_model(m)
 
 
 def test_posets_include_the_diamond():
@@ -286,12 +294,22 @@ def test_forest_search_matches_a_loop_over_structures():
     assert max(refuted) >= 3  # not only one-world refutations
 
 
+def test_the_countermodel_is_the_first_refuted_structure_of_its_forest():
+    # refuted where the order branches and a chain of three worlds starts at
+    # the root: first at 4 worlds, on several structures of one forest
+    f = parse_formula(f"forall p forall q ((p -> q) | (q -> p)) | {depth_formula(3)}")
+    for cls, mode, g in (("finite-trees", INT, f), ("finite-trees", S4, t_embed(f)),
+                         ("finite-posets", INT, f), ("finite-posets", S4, t_embed(f))):
+        structures = list((enumerate_trees if cls == "finite-trees" else enumerate_posets)(4, mode))
+        refuted = [m for m in structures if not validates(m, g)]
+        assert len(refuted) >= 2, (cls, mode)
+        got = bounded_validity(g, SearchBounds(6, cls), mode).countermodel
+        assert got == first_countermodel(g, cls, 6, mode) == refuted[0], (cls, mode)
+
+
 def component_masks(forest, mask):
-    slices = []
-    for n in forest.sizes:
-        slices.append(mask & (1 << n) - 1)
-        mask >>= n
-    return slices
+    n = forest.size
+    return [mask >> k * n & (1 << n) - 1 for k in range(forest.starts.bit_count())]
 
 
 def tree_forests_up_to(bound):
@@ -316,12 +334,11 @@ def check_forest_slices(forests, formulas, mode, enumerated):
     enumerated = list(enumerated)
     seen = 0
     for items, forest in forests:
-        assert sum(forest.sizes) <= FOREST_WORLDS or len(forest.sizes) == 1
-        assert len(set(forest.sizes)) == 1
+        assert forest.full.bit_length() <= FOREST_WORLDS or forest.starts == 1
         component = enumerated[seen:seen + len(items)]
         assert [m if isinstance(m, Model) else Model.tree(_words(m), None, mode) for m in items] == component
         seen += len(items)
-        assert [len(m.worlds) for m in component] == list(forest.sizes)
+        assert [len(m.worlds) for m in component] == [forest.size] * forest.starts.bit_count()
         assert all(m.worlds[0] == m.root for m in component)
         for f in formulas:
             slices = component_masks(forest, forest_extension(forest, f, mode))
@@ -339,25 +356,6 @@ def test_forest_extensions_are_the_extensions_of_their_components():
     check_forest_slices(tree_forests_up_to(5), s4_formulas, S4, structures_up_to("finite-trees", 5, S4))
     for mode, formulas in ((INT, int_formulas), (S4, s4_formulas)):
         check_forest_slices(poset_forests_up_to(4, mode), formulas, mode, structures_up_to("finite-posets", 4, mode))
-
-
-def test_forest_of_models_with_valuations():
-    from helpers import random_poset_model, random_tree
-
-    rng = random.Random(44)
-    for mode in (INT, S4):
-        extension = extension_int if mode == INT else extension_s4
-        for _ in range(10):
-            # sizes differ from component to component
-            models = [(random_tree if rng.random() < 0.5 else random_poset_model)(
-                rng, rng.randint(1, 5), mode, ("p", "q")) for _ in range(6)]
-            forest = Forest(models)
-            assert forest.sizes == tuple(len(m.worlds) for m in models)
-            for _ in range(4):
-                f = random_formula(rng, 3, lang=mode, scope=("p", "q"), quantifiers=2)
-                slices = component_masks(forest, forest_extension(forest, f, mode))
-                for m, got in zip(models, slices):
-                    assert m._set_of(got) == extension(m, f), (m, f)
 
 
 # --- the forests of each tree size are built once per process --------------------
@@ -477,7 +475,7 @@ def test_only_an_intuitionistic_search_zips_each_tree_forest_once(fresh_table, m
     # the first intuitionistic search zips each forest once, from each tree's successor masks
     assert bounded_validity(NOT_NOT_QEM, bounds).countermodel is None
     forests = tree_forests_up_to(8)
-    assert [sizes for sizes, _ in calls["_zip_across"]] == [forest.sizes for _, forest in forests]
+    assert [size for size, _ in calls["_zip_across"]] == [forest.size for _, forest in forests]
     assert [up for up, in calls["_upsets_of"]] == [m._up for m in structures_up_to("finite-trees", 8, INT)]
     before = {name: len(seen) for name, seen in calls.items()}
     assert bounded_validity(NOT_NOT_QEM, bounds).countermodel is None
@@ -503,7 +501,7 @@ def test_tree_forests_cut_each_size_class_into_runs():
     # 286 trees of 9 worlds in runs of 56, 719 of 10 in runs of 51
     above_seven = [336, 512, 408] + [504] * 5 + [54] + [510] * 14 + [50]
     forests = tree_forests_up_to(10)
-    assert [sum(forest.sizes) for _, forest in forests] == [1, 2, 6, 16, 45, 120] + above_seven
+    assert [forest.full.bit_length() for _, forest in forests] == [1, 2, 6, 16, 45, 120] + above_seven
     assert [shapes for shapes, _ in forests] == per_size_layout(10)
 
 
@@ -538,7 +536,7 @@ def test_a_search_with_a_ranging_quantifier_stops_at_the_size_it_refutes(evaluat
             got = bounded_validity(f, SearchBounds(8, "finite-trees"), mode).countermodel
             assert got == first_countermodel(f, "finite-trees", 8, mode), (mode, text)
             n = len(got.worlds)
-            assert [set(forest.sizes) for forest in evaluated] == [{k} for k in range(1, n + 1)]
+            assert [forest.size for forest in evaluated] == list(range(1, n + 1))
             sizes.append(n)
         assert sizes == [2, 3, 4, 5, 6, 3]
 
@@ -591,7 +589,7 @@ def test_a_constant_is_decided_on_one_world(evaluated, monkeypatch, capsys):
                 evaluated.clear()
                 assert cli.run(["decide", "--formula", text, "--class", cls, "--max", str(bound),
                                 "--mode", mode]) == status, (cls, mode, text)
-                assert [forest.sizes for forest in evaluated] == [(1,)]
+                assert [(forest.size, forest.starts) for forest in evaluated] == [(1, 1)]
                 out = capsys.readouterr().out
                 assert f"MAX-WORLDS: {bound}\n" in out
                 assert ("OUTCOME: no-counterexample" if status == 0 else "OUTCOME: countermodel") in out
@@ -599,7 +597,7 @@ def test_a_constant_is_decided_on_one_world(evaluated, monkeypatch, capsys):
     # a formula with a ranging quantifier runs to the bound
     evaluated.clear()
     assert cli.run(["decide", "--formula", "forall p (p -> p)", "--class", "finite-trees", "--max", "7"]) == 0
-    assert [set(forest.sizes) for forest in evaluated] == [{n} for n in range(1, 8)]
+    assert [forest.size for forest in evaluated] == list(range(1, 8))
     assert "OUTCOME: no-counterexample" in capsys.readouterr().out
     # the input checks come first, in the same order in every class and mode
     evaluated.clear()
@@ -612,7 +610,7 @@ def test_a_constant_is_decided_on_one_world(evaluated, monkeypatch, capsys):
             else:
                 with pytest.raises(error):
                     bounded_validity(parse_formula(text, S4), SearchBounds(7, cls), mode)
-    assert [forest.sizes for forest in evaluated] == [(1,)] * 6 and posets == [1] * 4
+    assert [(forest.size, forest.starts) for forest in evaluated] == [(1, 1)] * 6 and posets == [1] * 4
 
 
 def test_model_forests_hold_one_size_each():
@@ -622,19 +620,44 @@ def test_model_forests_hold_one_size_each():
     assert chains == [[n] for n in range(1, 41)]
 
 
+def test_every_forest_built_holds_one_size(fresh_table, monkeypatch, tmp_path, capsys):
+    built = []
+    init = Forest.__init__
+
+    def spy(self, models):
+        models = list(models)
+        init(self, models)
+        built.append(({len(m.worlds) for m in models}, self.size, self.starts.bit_count(), len(models)))
+
+    monkeypatch.setattr(Forest, "__init__", spy)
+    f = parse_formula("forall p (p -> p)")
+    for mode, g in ((INT, f), (S4, t_embed(f))):
+        for cls, bound in (("finite-trees", 6), ("finite-posets", 5), ("chains", 6)):
+            assert bounded_validity(g, SearchBounds(bound, cls), mode).countermodel is None, (cls, mode)
+    path = tmp_path / "diamond.json"
+    path.write_text(dump_model(diamond_model(valuation={"p": ["a", "t"]})))
+    assert cli.run(["check", "--model", str(path), "--formula", "~~p -> p", "--world", "b"]) == 1
+    assert "VERDICT: false\n" in capsys.readouterr().out
+    assert built[-1] == ({4}, 4, 1, 1)
+    # a forest per size: trees for both modes at once, posets and chains per search
+    assert len(built) == 6 + 2 * (5 + 6) + 1
+    for sizes, size, components, models in built:
+        assert sizes == {size} and components == models
+
+
 def test_a_long_s4_chain_search_refuted_early_evaluates_only_the_short_chains(monkeypatch):
     evaluated = []
 
     def spy(forest, *args):
         # one forest of chains of 2 to 28 worlds would try 2**28 subsets
-        assert len(forest.sizes) == 1, forest.sizes
-        evaluated.append(forest.sizes)
+        assert forest.starts == 1, forest.starts
+        evaluated.append(forest.size)
         return forest_extension(forest, *args)
 
     monkeypatch.setattr(search, "forest_extension", spy)
     f = parse_formula("forall p (p -> box p)", S4)
     got = bounded_validity(f, SearchBounds(28, "chains"), S4).countermodel
-    assert len(got.worlds) == 2 and evaluated == [(1,), (2,)]
+    assert len(got.worlds) == 2 and evaluated == [1, 2]
 
 
 def test_a_poset_search_refuted_early_enumerates_no_larger_posets(monkeypatch):

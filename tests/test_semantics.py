@@ -424,7 +424,7 @@ def test_upward_closure_check_survives_optimize():
         "from qptrees import semantics\n"
         "from qptrees.formula import Bottom\n"
         "from qptrees.kripke import chain\n"
-        "semantics._extension_mask = lambda m, t, s4: 1  # the root alone\n"
+        "semantics._extension_mask = lambda m, t, s4, valuation: 1  # the root alone\n"
         "try:\n"
         "    semantics.extension_int(chain(2), Bottom())\n"
         "except AssertionError as e:\n"
