@@ -16,10 +16,10 @@ is all the script itself needs, and pytest does not collect it:
     python tests/mutants.py NAME ...      # the named ones
     python tests/mutants.py --list        # names, modules and test files
 
-The scratch tree is `.mutants/tree`, which git ignores, and
-`--timeout S` bounds each pytest run (default 300 seconds).  Exit status: 0 when every mutant is killed or listed as
-equivalent, 1 when one survives unexplained or an equivalent one is
-killed, 2 when a fragment no longer occurs exactly once in its module.
+The scratch tree is `.mutants/tree`, which git ignores; each pytest run
+may take `TIMEOUT` seconds.  Exit status: 0 when every mutant is killed or
+listed as equivalent, 1 when one survives unexplained or an equivalent one
+is killed, 2 when a fragment no longer occurs exactly once in its module.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 TREE = ROOT / ".mutants" / "tree"
+TIMEOUT = 300  # seconds per pytest run
 
 
 class Mutant(NamedTuple):
@@ -166,13 +167,13 @@ def copy_tree() -> None:
         shutil.copy2(ROOT / name, TREE / name)
 
 
-def run_tests(tests, timeout: float) -> str:
+def run_tests(tests) -> str:
     """"passed", "failed" or "timeout" for the named files in the copy."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(TREE / "src"))
     command = [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                *(f"tests/{name}" for name in tests)]
     try:
-        done = subprocess.run(command, cwd=TREE, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(command, cwd=TREE, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "passed" if done.returncode == 0 else "failed"
@@ -182,7 +183,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Run the named mutants against tier-1 test files.")
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per pytest run")
     args = parser.parse_args(argv)
     known = {m.name: m for m in MUTANTS}
     unknown = [name for name in args.names if name not in known]
@@ -205,7 +205,7 @@ def main(argv=None) -> int:
         target.write_text(text)
         began = time.perf_counter()
         try:
-            outcome = run_tests(m.tests, args.timeout)
+            outcome = run_tests(m.tests)
         finally:
             target.write_text(original)
         killed = outcome != "passed"

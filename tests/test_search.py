@@ -627,7 +627,7 @@ def test_every_forest_built_holds_one_size(fresh_table, monkeypatch, tmp_path, c
     def spy(self, models):
         models = list(models)
         init(self, models)
-        built.append(({len(m.worlds) for m in models}, self.size, self.starts.bit_count(), len(models)))
+        built.append(({len(m.worlds) for m in models}, self.size))
 
     monkeypatch.setattr(Forest, "__init__", spy)
     f = parse_formula("forall p (p -> p)")
@@ -638,11 +638,11 @@ def test_every_forest_built_holds_one_size(fresh_table, monkeypatch, tmp_path, c
     path.write_text(dump_model(diamond_model(valuation={"p": ["a", "t"]})))
     assert cli.run(["check", "--model", str(path), "--formula", "~~p -> p", "--world", "b"]) == 1
     assert "VERDICT: false\n" in capsys.readouterr().out
-    assert built[-1] == ({4}, 4, 1, 1)
+    assert built[-1] == ({4}, 4)
     # a forest per size: trees for both modes at once, posets and chains per search
     assert len(built) == 6 + 2 * (5 + 6) + 1
-    for sizes, size, components, models in built:
-        assert sizes == {size} and components == models
+    for sizes, size in built:
+        assert sizes == {size}
 
 
 def test_a_long_s4_chain_search_refuted_early_evaluates_only_the_short_chains(monkeypatch):
