@@ -18,9 +18,14 @@ its first evaluation over a domain, and keeps that one program until it is
 freed or evaluated over another domain or environment layout, so a sweep
 over a tree's worlds compiles it once; calls fill slot lists of their own,
 so they may nest or run in threads.  An innermost individual quantifier is
-one mask test, a guarded one loops over its guard's mask only, and set
-quantifiers still try every subset.  The prefix, immediate-successor and
-lexicographic relations are read off the model's words, never off the
+one mask test, and a guarded one loops over its guard's mask only.  A set
+quantifier `all2 X: (G => B)` or `ex2 X: (G & B)` whose guard G reads only
+set variables and `root` keeps, beside the program, the subsets G admits
+for the values of those sets, so G tests each subset at most once while
+the values stay the same.  The translation's own guards, `X sub T` and
+upward closure, are of this kind, so a sweep over a tree's worlds with one
+T tests each guard on each subset once.  The prefix, immediate-successor
+and lexicographic relations are read off the model's words, never off the
 model's order.
 
 Emitted text (stable, single line)::
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .formula import (
     INT,
@@ -464,40 +470,75 @@ class _Nodes:
         return self.tables[kind]
 
 
-def _operands(g, scope: dict) -> tuple[list[int] | None, str | None]:
-    """The slots of an atom's two operands, or the error for the first one
-    that names no variable of the kind its position needs."""
-    if isinstance(g, Member):
-        terms = ((g.elem, _NODE), (g.setvar, _SET))
-    else:
-        kind = _SET if isinstance(g, Subset) else _NODE
-        terms = ((g.left, kind), (g.right, kind))
-    slots = []
-    for name, kind in terms:
-        if kind is _NODE and name == ROOT:
-            slots.append(0)
-            continue
-        bound = scope.get(name)
-        if bound is None:
-            which = "individual" if kind is _NODE else "set"
-            return None, f"unbound {which} variable {name!r}"
-        if bound[0] is not kind:
-            return None, f"{name!r} is bound to a {bound[0]}, not a {kind}"
-        slots.append(bound[1])
-    return slots, None
+def _slot(name: str, kind: str, scope: dict) -> int:
+    """The slot of an atom's operand `name` in a position of `kind`;
+    UnboundVariableError when it names no variable of that kind."""
+    if kind is _NODE and name == ROOT:
+        return 0
+    bound = scope.get(name)
+    if bound is None:
+        raise UnboundVariableError(f"unbound {'individual' if kind is _NODE else 'set'} variable {name!r}")
+    if bound[0] is not kind:
+        raise UnboundVariableError(f"{name!r} is bound to a {bound[0]}, not a {kind}")
+    return bound[1]
 
 
 def _join(kind, left, right, k):
     """Compile a binary connective over two compiled operands: bitwise when
     both are masks, else short-circuited as the reference walk is."""
-    (l, lvec), (r, rvec) = left, right
+    (l, lvec, lreads), (r, rvec, rreads) = left, right
+    reads = lreads | rreads
     if lvec and rvec:
         return ((lambda s: l(s) & r(s)) if kind is Conj else (lambda s: l(s) | r(s)) if kind is Disj
-                else (lambda s: ~l(s) | r(s))), True
+                else (lambda s: ~l(s) | r(s))), True, reads
     if lvec or rvec:  # a mask operand gives its bit at s[k]
-        l, r = [(lambda s, run=run: run(s) >> s[k] & 1) if vec else run for run, vec in (left, right)]
+        l, r = [(lambda s, run=run: run(s) >> s[k] & 1) if vec else run for run, vec, _ in (left, right)]
     return ((lambda s: l(s) and r(s)) if kind is Conj else (lambda s: l(s) or r(s)) if kind is Disj
-            else (lambda s: not l(s) or r(s))), False
+            else (lambda s: not l(s) or r(s))), False, reads
+
+
+def _admitted(every: bool, j: int, guard, body, key: list[int], size: int):
+    """Compile `all2 X: (G => B)` or `ex2 X: (G & B)`, X in slot j, whose
+    guard G reads only X, `root` and the set slots `key`.
+
+    The program keeps one triple: the values of those slots, the subsets G
+    admits for them in ascending order, and the first subset G has not
+    tested.  A call runs B on the kept subsets first, then, if it has not
+    ended, tests G on the untested ones, as the plain loop would, and keeps
+    what it learns; when the values differ it starts afresh.  So G is tested
+    at most once per subset while the values stay the same, B meets the
+    subsets in the plain loop's order, and verdicts and errors stay the
+    same: G's answer and whether it fails depend on the values and X only,
+    and a call that fails keeps nothing.  The triple is replaced whole and
+    its list never changes once kept, so a call reads one triple or another,
+    each right for its values; a call in another thread that replaces the
+    triple a call read only costs a later call a scan."""
+    values = itemgetter(*key) if key else (lambda s: None)
+    end, kept = 1 << size, None
+
+    def each(s):
+        nonlocal kept
+        held, now = kept, values(s)
+        if held is None or held[0] != now:
+            held = now, [], 0
+        admitted, tested = held[1], held[2]
+        for v in admitted:
+            s[j] = v
+            if (not body(s)) is every:  # a counterexample to all, a witness to ex
+                return not every
+        if tested < end:
+            admitted = list(admitted)  # a kept list never changes
+            for v in range(tested, end):
+                s[j] = v
+                if guard(s):
+                    admitted.append(v)
+                    if (not body(s)) is every:
+                        kept = now, admitted, v + 1
+                        return not every
+            kept = now, admitted, end
+        return every
+
+    return each
 
 
 def _compile(g: MsoFormula, scope: dict, slots: list, nodes: _Nodes, k):
@@ -505,66 +546,93 @@ def _compile(g: MsoFormula, scope: dict, slots: list, nodes: _Nodes, k):
     (`scope` maps each variable to its kind and slot, and each quantifier
     appends its slot to `slots`), and say whether it is vector-valued: in
     the scope of individual slot `k`, a subformula with no quantifier and no
-    failing atom gives the mask of the values of s[k] where it holds, never reading s[k]."""
+    failing atom gives the mask of the values of s[k] where it holds, never
+    reading s[k].  The third result is the mask of the slots bound outside
+    `g` that it reads; a failing atom reads none, as it fails wherever it is
+    reached."""
     if isinstance(g, _ATOMS):
-        operands, error = _operands(g, scope)
-        if error is not None:
+        member = isinstance(g, Member)
+        kind = _SET if member or isinstance(g, Subset) else _NODE
+        first, second = (g.elem, g.setvar) if member else (g.left, g.right)
+        try:  # the first operand's error comes first
+            a, b = _slot(first, _NODE if member else kind, scope), _slot(second, kind, scope)
+        except UnboundVariableError as e:
+            error = e.args[0]
+
             # Raised only when reached: `false & x in X` is false, x unbound.
             def fail(s):
                 raise UnboundVariableError(error)
 
-            return fail, False
-        a, b = operands
-        if isinstance(g, Subset):
-            test = lambda s: not s[a] & ~s[b]
-        elif isinstance(g, Member):
+            return fail, False, 0
+        reads = 1 << a | 1 << b
+        if member:
             if a == k:
-                return (lambda s: s[b]), True
+                return (lambda s: s[b]), True, reads
             test = lambda s: s[b] >> s[a] & 1
+        elif kind is _SET:
+            test = lambda s: not s[a] & ~s[b]
         else:
             below, above = nodes.relation(type(g))
             if a == k == b:
                 diagonal = -(below[0] & 1)  # each relation is reflexive or irreflexive
-                return (lambda s: diagonal), True
+                return (lambda s: diagonal), True, reads
             if a == k:
-                return (lambda s: below[s[b]]), True
+                return (lambda s: below[s[b]]), True, reads
             if b == k:
-                return (lambda s: above[s[a]]), True
+                return (lambda s: above[s[a]]), True, reads
             test = lambda s: below[s[b]] >> s[a] & 1
-        return (test, False) if k is None else ((lambda s: -test(s)), True)
-    if isinstance(g, Falsum):
-        return (lambda s: 0), k is not None
+        return (test, False, reads) if k is None else ((lambda s: -test(s)), True, reads)
     if isinstance(g, _Connective):
         left = _compile(g.left, scope, slots, nodes, k)
         return _join(type(g), left, _compile(g.right, scope, slots, nodes, k), k)
-    if isinstance(g, Neg):
-        body, vec = _compile(g.body, scope, slots, nodes, k)
-        return ((lambda s: ~body(s)), True) if vec else ((lambda s: not body(s)), False)
     if not isinstance(g, _Quantifier):
+        if isinstance(g, Neg):
+            body, vec, reads = _compile(g.body, scope, slots, nodes, k)
+            return ((lambda s: ~body(s)) if vec else (lambda s: not body(s))), vec, reads
+        if isinstance(g, Falsum):
+            return (lambda s: 0), k is not None, 0
         raise TypeError(f"not a second-order formula node: {g!r}")
     every, j, guard = isinstance(g, (All1, All2)), len(slots), None
+    joint, bound = (Impl if every else Conj), ~(1 << j)
     slots.append(0)
     if isinstance(g, (All2, Ex2)):
-        body, vec = _compile(g.body, {**scope, g.var: (_SET, j)}, slots, nodes, None)
+        scope, h = {**scope, g.var: (_SET, j)}, g.body
+        if isinstance(h, joint):  # all2 X: (G => B), ex2 X: (G & B)
+            test = _compile(h.left, scope, slots, nodes, None)
+            body = _compile(h.right, scope, slots, nodes, None)
+            reads, key = test[2] & bound, []
+            for kind, slot in scope.values():  # the sets G reads; `root`, in slot 0, never changes
+                if kind is _SET and reads >> slot & 1:
+                    key.append(slot)
+                    reads ^= 1 << slot
+            if not reads & ~1:  # G reads no node
+                each = _admitted(every, j, test[0], body[0], key, nodes.size)
+                return each, False, (test[2] | body[2]) & bound
+            body, vec, reads = _join(joint, test, body, None)
+        else:
+            body, vec, reads = _compile(h, scope, slots, nodes, None)
         values = range(1 << nodes.size)
     else:
         # The leading mask-valued antecedents of all1, or conjuncts of ex1,
         # give the mask of the worlds the loop visits.
-        scope, joint, h = {**scope, g.var: (_NODE, j)}, (Impl if every else Conj), g.body
+        scope, h = {**scope, g.var: (_NODE, j)}, g.body
         while isinstance(h, joint):
             left = _compile(h.left, scope, slots, nodes, j)
             if not left[1]:
-                body, vec = _join(joint, left, _compile(h.right, scope, slots, nodes, j), j)
+                body, vec, reads = _join(joint, left, _compile(h.right, scope, slots, nodes, j), j)
                 break
             guard = left if guard is None else _join(Conj, guard, left, j)
             h = h.right
         else:
-            body, vec = _compile(h, scope, slots, nodes, j)
+            body, vec, reads = _compile(h, scope, slots, nodes, j)
         values, full = range(nodes.size), (1 << nodes.size) - 1
+    if guard:
+        reads |= guard[2]
+    reads &= bound
     domain = guard[0] if guard else (lambda s: -1)
     if vec:  # the whole body is one mask
         return ((lambda s: not full & domain(s) & ~body(s)) if every
-                else (lambda s: full & domain(s) & body(s) != 0)), False
+                else (lambda s: full & domain(s) & body(s) != 0)), False, reads
 
     def each(s):
         d = domain(s)
@@ -575,7 +643,7 @@ def _compile(g: MsoFormula, scope: dict, slots: list, nodes: _Nodes, k):
                     return not every
         return every
 
-    return each, False
+    return each, False, reads
 
 
 def eval_finite(f: MsoFormula, domain: Model, env: dict) -> bool:
@@ -595,6 +663,14 @@ def eval_finite(f: MsoFormula, domain: Model, env: dict) -> bool:
     its words outside the domain), and the program stays on `f` until `f`
     is freed or a call with another key replaces it.  Each call fills its
     own slot list, so calls may nest or run in threads.
+
+    A set quantifier whose guard reads only set variables and `root` keeps,
+    beside the program, the subsets its guard admits for the values of
+    those sets, in ascending order, and tests the guard on each subset at
+    most once while the values stay the same; its body meets the subsets in
+    the order of a plain loop over all of them, so results and errors are
+    those of that loop.  The kept subsets are replaced whole, never changed
+    in place, so threads that share a program each read a whole list.
     """
     if domain.kind != "tree":
         raise ValueError("finite evaluation is defined over tree models")

@@ -42,11 +42,13 @@ readings, and `&`, `|`, `box`, `dia` and the quantifiers over other
 variables are monotone; so for a positive-only p, U included in U' gives
 ext(A[p:=U]) included in ext(A[p:=U']), and the intersection over all U,
 the extension of `forall p A`, is ext(A[p:=empty]).  Only the remaining
-quantifiers enumerate propositions; a forest zips its upsets on the first
-intuitionistic evaluation that reaches one, and keeps them.  So a closed
-formula whose quantifiers are all fixed is a constant, empty or full on
-every structure, as `bot` and `~bot` are: on empty and full, `->`, `box`
-and `dia` give empty or full again, as every world sees itself.
+quantifiers, the ranging ones, enumerate propositions.  Every quantifier
+is reached, so an evaluation whose formula has a ranging one asks its
+forest for the propositions once, before it starts; a forest zips its
+upsets on the first such intuitionistic evaluation, and keeps them.  So a
+closed formula whose quantifiers are all fixed is a constant, empty or
+full on every structure, as `bot` and `~bot` are: on empty and full, `->`,
+`box` and `dia` give empty or full again, as every world sees itself.
 `search.bounded_validity` relies on this to decide such a formula on the
 one-world structure alone, in every class.
 
@@ -85,6 +87,7 @@ def _extension_mask(forest: Forest, t: NodeTable, s4: bool, valuation) -> int:
             raise UnboundVariableError(f"no proposition assigned to variable {v!r}")
     ops, args, fixed, schedules = t.ops, t.args, t.fixed, t.schedules
     full, down = forest.full, forest.down
+    ranged = forest.propositions(s4) if t.ranging else ()
     values = [0] * len(ops)  # the extension of each node; BOT's stays 0
 
     def run(schedule):
@@ -108,7 +111,7 @@ def _extension_mask(forest: Forest, t: NodeTable, s4: bool, valuation) -> int:
                     values[i] = full & ~down(values[a] & ~values[b])
             elif op == FORALL or op == EXISTS:
                 p, body = args[i]
-                tried = (full if fixed[i] == FULL else 0,) if fixed[i] else forest.propositions(s4)
+                tried = (full if fixed[i] == FULL else 0,) if fixed[i] else ranged
                 if op == FORALL:
                     result = full
                     for mask in tried:

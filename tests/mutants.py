@@ -119,10 +119,44 @@ MUTANTS = (
            "bounds.max_worlds + 1 if table.ranging else 2",
            "bounds.max_worlds + 1",
            ("test_search.py",)),
-    # --- mso and cli ---------------------------------------------------------------
+    # --- mso: the program key and cli ----------------------------------------------
     Mutant("mso-key-without-words", "mso.py",
            "key, cached = (nodes.size, nodes.words, scope),",
            "key, cached = (nodes.size, scope),",
+           ("test_mso.py",)),
+    # --- mso: the subsets a set quantifier keeps ------------------------------------
+    Mutant("kept-without-key-compare", "mso.py",
+           "if held is None or held[0] != now:",
+           "if held is None:",
+           ("test_mso.py",)),
+    Mutant("kept-key-short-one-slot", "mso.py",
+           "values = itemgetter(*key) if key else (lambda s: None)",
+           "values = itemgetter(*key[:-1]) if key[:-1] else (lambda s: None)",
+           ("test_mso.py",)),
+    Mutant("kept-all-tested-on-early-end", "mso.py",
+           "kept = now, admitted, v + 1",
+           "kept = now, admitted, end",
+           ("test_mso.py",)),
+    Mutant("kept-for-a-guard-reading-a-node", "mso.py",
+           "if not reads & ~1:  # G reads no node",
+           "if True:  # G reads no node",
+           ("test_mso.py",)),
+    # --- mso: relation links ------------------------------------------------------------
+    Mutant("relation-prefix-search-skips-two", "mso.py",
+           "                    k -= 1",
+           "                    k -= 2",
+           ("test_mso.py",)),
+    Mutant("relation-immediate-closed", "mso.py",
+           "closed = kind is not ImmediateLe",
+           "closed = True",
+           ("test_mso.py",)),
+    Mutant("relation-lex-links-reversed", "mso.py",
+           "links = list(zip(order[1:], order))",
+           "links = list(zip(order, order[1:]))",
+           ("test_mso.py",)),
+    Mutant("relation-prefix-links-reversed", "mso.py",
+           "links.append((j, self.index[w[:k]]))",
+           "links.append((self.index[w[:k]], j))",
            ("test_mso.py",)),
     Mutant("argv-odd-count-read-plain", "cli.py",
            "if 2 * len(given) != len(args):",

@@ -631,6 +631,166 @@ def test_threads_share_one_formula_object():
         assert results[i] == expected[i::4] * 30
 
 
+# --- set quantifiers keep the subsets their guard admits --------------------------
+
+ROOTED = [{()} | set(ws) for ws in ([], [(0,)], [(1,)], [(0,), (0, 0)], [(0,), (1,), (0, 1)],
+                                    [(0,), (1,), (0, 0), (0, 1)])]
+
+
+def test_one_program_follows_T_then_X_p_between_calls(monkeypatch):
+    compiles = count_compiles(monkeypatch)
+    rng = random.Random(20261021)
+    texts = [("forall q (q | ~q) -> exists q (p & ~q)", INT), ("forall q ((q -> p) | (p -> q))", INT),
+             ("exists q (box q & ~p) | forall q dia (q -> p)", S4)]
+    formulas = [(parse_formula(text, mode), mode) for text, mode in texts]
+    formulas += [(random_formula(rng, 3, lang=mode, scope=("p",), quantifiers=2), mode)
+                 for mode in (INT, S4) for _ in range(6)]
+    seen = set()
+    for f, mode in formulas:
+        t = translate_at(f, "x", mode)
+        # first T changes between calls, then X_p; one program serves them all
+        envs = [{"T": T, "X_p": {(0,), (0, 0)}} for T in ROOTED + ROOTED[::-1]]
+        envs += [{"T": set(FIVE.worlds), "X_p": set(p)} for p in ([], [(1,)], [(0, 1)], FIVE.worlds, [(0, 0), (1,)])]
+        for env in envs:
+            for w in FIVE.worlds:
+                assert_agrees(t, FIVE, {**env, "x": w})
+                seen.add(reference_eval_finite(t, FIVE, {**env, "x": w}))
+        assert compiles(t) == 1, emit(t)
+    assert seen == {True, False}
+
+
+def test_a_guard_on_two_sets_keys_its_subsets_on_both():
+    rng = random.Random(20261022)
+    # X sub T & X sub U: a change of either set changes the admitted subsets
+    guard = Conj(Subset("X", "T"), Subset("X", "U"))
+    body = Disj(Neg(Member("x", "X")), Member(ROOT, "X"))
+    for f in (All2("X", Impl(guard, body)), Ex2("X", Conj(guard, Neg(body)))):
+        for _ in range(40):
+            env = {"T": random_subset(rng, FIVE.worlds), "U": random_subset(rng, FIVE.worlds),
+                   "x": rng.choice(FIVE.worlds)}
+            assert_agrees(f, FIVE, env)
+        # one set changes between calls while the other stays
+        for outer in ROOTED:
+            for inner in ROOTED:
+                for w in FIVE.worlds:
+                    assert_agrees(f, FIVE, {"T": inner, "U": outer - {()}, "x": w})
+            for inner in ROOTED:
+                for w in FIVE.worlds:
+                    assert_agrees(f, FIVE, {"T": outer - {()}, "U": inner, "x": w})
+
+
+def test_threads_share_one_program_and_its_kept_subsets(monkeypatch):
+    compiles = count_compiles(monkeypatch)
+    t = translate_at(parse_formula("forall q (~q | ~~q) -> p"), "x", INT)
+    domains = [set(FIVE.worlds), {(), (0,), (0, 0)}, {(), (1,)}, {(), (0,), (0, 1), (1,)}]
+    cases = [[{"T": T, "X_p": {(1,)}, "x": w} for w in FIVE.worlds] for T in domains]
+    expected = [[reference_eval_finite(t, FIVE, env) for env in envs] for envs in cases]
+    assert len({tuple(e) for e in expected}) == 4
+    assert eval_finite(t, FIVE, cases[0][0]) is expected[0][0]  # compiled here, shared below
+    results = {}
+
+    def sweep(i):
+        results[i] = [eval_finite(t, FIVE, env) for _ in range(40) for env in cases[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(4):
+        assert results[i] == expected[i] * 40
+    assert compiles(t) == 1
+
+
+def count_guard_runs(monkeypatch, guard):
+    """A list that gets one entry each time the compiled `guard` runs."""
+    runs, compile_ = [], mso._compile
+
+    def spy(g, *rest):
+        run, vec, reads = compile_(g, *rest)
+        if g is guard:
+            def counted(s):
+                runs.append(1)
+                return run(s)
+
+            return counted, vec, reads
+        return run, vec, reads
+
+    monkeypatch.setattr(mso, "_compile", spy)
+    return runs
+
+
+@pytest.mark.parametrize("mode", [INT, S4])
+def test_the_guard_runs_again_only_for_another_T(monkeypatch, mode):
+    t = translate_at(parse_formula("forall q (q -> q)", mode), "x", mode)
+    guard = t.body.left
+    runs = count_guard_runs(monkeypatch, guard)
+    env = {"T": set(FIVE.worlds), "x": ()}
+    tested = []
+    for T, w in ((set(FIVE.worlds), ()), (set(FIVE.worlds), (0, 1)), (set(FIVE.worlds), (1,)),
+                 ({(), (1,)}, ()), ({(), (1,)}, (1,)), (set(FIVE.worlds), (0,))):
+        del runs[:]
+        assert eval_finite(t, FIVE, {**env, "T": T, "x": w}) is True
+        tested.append(len(runs))
+    # the body holds for every subset, so the first call tests each one
+    assert tested == [32, 0, 0, 32, 0, 32]
+
+
+def test_an_unbound_variable_in_the_body_is_raised_at_the_first_subset_reaching_it():
+    m = chain(3)  # worlds (), (0,), (0, 0): singleton masks 1, 2, 4
+    env = {"c": (0,), "d": (0, 0)}
+    # all2 reads z, unbound, at the first admitted subset holding c
+    reach = All2("X", Impl(Subset("X", "T"), Impl(Member("c", "X"), Member("z", "U"))))
+
+    # ex2 ends at its first witness: z is read only if a subset reaching it comes first
+    def witness_or_reach(witness, reaching):
+        return Ex2("X", Conj(Subset("X", "T"),
+                             Disj(Member(witness, "X"), Conj(Member(reaching, "X"), Member("z", "U")))))
+
+    every_world, without_c = set(m.worlds), {(), (0, 0)}
+    cases = ((reach, every_world, None), (reach, without_c, True), (reach, {(0,)}, None),
+             (witness_or_reach("d", "c"), every_world, None),  # {(0,)} reaches z before {(0, 0)}
+             (witness_or_reach("d", "c"), without_c, True),  # no admitted subset holds c
+             (witness_or_reach("c", "d"), every_world, True),  # {(0,)} is a witness first
+             (witness_or_reach("c", "d"), without_c, None))  # {(0, 0)} reaches z
+    for f, T, verdict in cases:
+        for _ in range(2):  # the first call fills the kept subsets, the second reads them
+            assert_agrees(f, m, {**env, "T": T})
+            if verdict is None:
+                with pytest.raises(UnboundVariableError, match="unbound individual variable 'z'"):
+                    eval_finite(f, m, {**env, "T": T})
+            else:
+                assert eval_finite(f, m, {**env, "T": T}) is verdict
+
+
+def test_a_guard_that_fails_or_reads_a_node_gives_the_plain_loops_results():
+    m = chain(3)  # worlds (), (0,), (0, 0)
+    env = {"T": set(m.worlds), "x": (0,), "d": (0, 0)}
+    with pytest.raises(UnboundVariableError, match="unbound set variable 'V'"):
+        eval_finite(All2("X", Impl(Conj(Subset("X", "T"), Subset("X", "V")), Falsum())), m, env)
+    # the guard reads V, unbound, only at subsets holding x; the body fails at {()} first
+    fails_late = Conj(Subset("X", "T"), Impl(Member("x", "X"), Subset("X", "V")))
+    stops_early = All2("X", Impl(fails_late, Neg(Member(ROOT, "X"))))
+    reaches = All2("X", Impl(fails_late, Neg(Member("d", "X"))))
+    for T in (set(m.worlds), {(), (0, 0)}, {(0,), (0, 0)}, {(0, 0)}) * 2:
+        for f in (stops_early, reaches):
+            assert_agrees(f, m, {**env, "T": T})
+    assert eval_finite(stops_early, m, env) is False
+    with pytest.raises(UnboundVariableError, match="unbound set variable 'V'"):
+        eval_finite(reaches, m, env)
+    # guarded by the node x: the admitted subsets change with x
+    by_node = Ex2("X", Conj(Member("x", "X"), Neg(Member(ROOT, "X"))))
+    for w in m.worlds + m.worlds:
+        assert eval_finite(by_node, m, {**env, "x": w}) is (w != ())
+        assert_agrees(by_node, m, {**env, "x": w})
+
+
 def test_a_compiled_program_still_refuses_bad_input():
     t = translate_at(QEM, "x", INT)
     env = {"T": set(FIVE.worlds), "x": ()}
